@@ -14,7 +14,7 @@ import logging
 import os
 import sys
 import time
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__, mld
@@ -22,7 +22,7 @@ from .scenario import (ScenarioConfig, equivalent_single_link, expand_links,
                        links_label, run_seeds, streams_of)
 from .stats import (capacity_search, evaluate, export_ccdf, format_capacity,
                     format_ccdf, format_delay, format_records, format_summary)
-from .traffic import StreamConfig
+from .traffic import TRAFFIC_KINDS, StreamConfig
 
 log = logging.getLogger(__name__)
 
@@ -30,13 +30,11 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INTERNAL = 2
 
-SCENARIO_KEYS = ("policy", "links", "n_sta", "cell_radius_m", "sim_duration_s",
-                 "activation_window_s", "seeds", "traffic", "buffer_cap",
-                 "count_own_tx", "update_period_s", "ma_window",
-                 "rate_control", "fixed_mcs")
+# ScenarioConfig field -> config key, where the two names differ
+_CONFIG_KEY = {"traffic_overrides": "traffic"}
+SCENARIO_KEYS = tuple(_CONFIG_KEY.get(f.name, f.name) for f in fields(ScenarioConfig))
 CAPACITY_KEYS = ("max_sta",)
 SWEEP_KEYS = ("policies", "link_sets", "sta_counts")
-TRAFFIC_KINDS = ("dl_video", "ul_video", "pose")
 
 
 class ConfigError(ValueError):
@@ -62,10 +60,10 @@ def _check_keys(raw: dict, allowed) -> None:
             raise ConfigError(f"unknown config key {key!r}")
 
 
-def _check_traffic(overrides: dict) -> None:
+def _check_traffic(overrides: dict) -> dict:
     if not isinstance(overrides, dict):
         raise ConfigError("config key 'traffic' must be an object")
-    fields = set(StreamConfig.__dataclass_fields__)
+    known = set(StreamConfig.__dataclass_fields__)
     for kind, repl in overrides.items():
         if kind == "enabled":
             if not isinstance(repl, list):
@@ -77,8 +75,20 @@ def _check_traffic(overrides: dict) -> None:
         if kind not in TRAFFIC_KINDS:
             raise ConfigError(f"unknown traffic kind {kind!r}")
         for field in repl:
-            if field not in fields:
+            if field not in known:
                 raise ConfigError(f"unknown traffic field {field!r} under {kind!r}")
+    return overrides
+
+
+# config values that need converting into ScenarioConfig field values
+_FROM_CONFIG = {
+    "policy": mld.canonical_policy,
+    "links": expand_links,
+    "seeds": tuple,
+    "traffic": _check_traffic,
+}
+# and back into config values, for the manifest echo
+_TO_CONFIG = {"links": links_label, "seeds": list}
 
 
 def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
@@ -89,25 +99,14 @@ def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
     ones.
     """
     _check_keys(raw, SCENARIO_KEYS + tuple(extra_keys))
-    kwargs = {}
+    if seeds is not None:
+        raw = {**raw, "seeds": seeds}
     try:
-        if "policy" in raw:
-            kwargs["policy"] = mld.canonical_policy(raw["policy"])
-        if "links" in raw:
-            kwargs["links"] = expand_links(raw["links"])
-        if "traffic" in raw:
-            _check_traffic(raw["traffic"])
-            kwargs["traffic_overrides"] = raw["traffic"]
-        for key in ("n_sta", "cell_radius_m", "sim_duration_s",
-                    "activation_window_s", "buffer_cap", "count_own_tx",
-                    "update_period_s", "ma_window", "rate_control",
-                    "fixed_mcs"):
+        kwargs = {}
+        for f, key in zip(fields(ScenarioConfig), SCENARIO_KEYS):
             if key in raw:
-                kwargs[key] = raw[key]
-        if seeds is not None:
-            kwargs["seeds"] = tuple(seeds)
-        elif "seeds" in raw:
-            kwargs["seeds"] = tuple(raw["seeds"])
+                convert = _FROM_CONFIG.get(key)
+                kwargs[f.name] = convert(raw[key]) if convert else raw[key]
         cfg = ScenarioConfig(**kwargs)
         cfg.validate()
         streams_of(cfg)  # validates traffic overrides end to end
@@ -120,23 +119,12 @@ def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Resolved-config echo; resolve_config on the result yields cfg back."""
-    out = {
-        "policy": cfg.policy,
-        "links": links_label(cfg.links),
-        "n_sta": cfg.n_sta,
-        "cell_radius_m": cfg.cell_radius_m,
-        "sim_duration_s": cfg.sim_duration_s,
-        "activation_window_s": cfg.activation_window_s,
-        "seeds": list(cfg.seeds),
-        "buffer_cap": cfg.buffer_cap,
-        "count_own_tx": cfg.count_own_tx,
-        "update_period_s": cfg.update_period_s,
-        "ma_window": cfg.ma_window,
-        "rate_control": cfg.rate_control,
-        "fixed_mcs": cfg.fixed_mcs,
-    }
-    if cfg.traffic_overrides is not None:
-        out["traffic"] = cfg.traffic_overrides
+    out = {}
+    for f, key in zip(fields(cfg), SCENARIO_KEYS):
+        value = getattr(cfg, f.name)
+        if value is not None:
+            convert = _TO_CONFIG.get(key)
+            out[key] = convert(value) if convert else value
     return out
 
 

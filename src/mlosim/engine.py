@@ -28,27 +28,14 @@ class SimulationError(Exception):
     """Fatal inconsistency in the event machinery (indicates a logic bug)."""
 
 
-class RngStream(random.Random):
+def rng_stream(seed, label) -> random.Random:
     """Independent random stream keyed by (seed, label).
 
     Same (seed, label) gives the identical draw sequence on every run and
     platform; distinct labels share no state.
     """
-
-    def __new__(cls, seed, label):
-        # random.Random.__new__ only accepts the seed positionally.
-        digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
-        return super().__new__(cls, int.from_bytes(digest, "big"))
-
-    def __init__(self, seed, label):
-        digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
-        super().__init__(int.from_bytes(digest, "big"))
-        self.label = label
-
-
-def rng_stream(seed, label):
-    """Create the deterministic substream for (seed, label)."""
-    return RngStream(seed, label)
+    digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
+    return random.Random(int.from_bytes(digest, "big"))
 
 
 class EventHandle:
@@ -67,9 +54,6 @@ class EventHandle:
         self.fn = fn
         self.args = args
         self.state = _PENDING
-
-    def __lt__(self, other):
-        return (self.fire_at, self.seq) < (other.fire_at, other.seq)
 
 
 class Simulator:
@@ -90,7 +74,7 @@ class Simulator:
         """Cached per-label substream for this simulation's seed."""
         s = self._streams.get(label)
         if s is None:
-            s = self._streams[label] = RngStream(self.seed, label)
+            s = self._streams[label] = rng_stream(self.seed, label)
         return s
 
     def schedule(self, at, fn, *args):
@@ -101,9 +85,6 @@ class Simulator:
         heapq.heappush(self._heap, (at, self._seq, h))
         self._seq += 1
         return h
-
-    def schedule_in(self, delay, fn, *args):
-        return self.schedule(self.now + delay, fn, *args)
 
     def cancel(self, handle):
         """Make a pending event inert.  True if it was still pending."""

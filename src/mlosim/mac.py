@@ -159,21 +159,16 @@ class Medium:
     # -- transmission -------------------------------------------------
 
     def begin_tx(self, mac, ampdu: Ampdu):
-        now = self.sim.now
-        tx = _Tx(mac, ampdu, now, now + ampdu.duration_us)
-        for other in self.active:  # any overlap corrupts both PPDUs
-            other.collided = True
-            tx.collided = True
-        self.active.append(tx)
-        self._mark_busy(tx.start, tx.end)
-        self._notify_busy(now)
-        self.sim.schedule(tx.end, self._tx_end, tx)
+        self._occupy(mac, ampdu, ampdu.duration_us)
 
     def inject_busy(self, duration_us: int):
         """Foreign occupancy: freezes contenders and counts as busy time."""
+        self._occupy(None, None, duration_us)
+
+    def _occupy(self, mac, ampdu, duration_us: int):
         now = self.sim.now
-        tx = _Tx(None, None, now, now + duration_us)
-        for other in self.active:
+        tx = _Tx(mac, ampdu, now, now + duration_us)
+        for other in self.active:  # any overlap corrupts both PPDUs
             other.collided = True
             tx.collided = True
         self.active.append(tx)

@@ -30,11 +30,10 @@ from collections import deque
 
 from .mac import Ampdu, LinkMac, aggregate, mpdu_dest, retry_or_drop
 from .phy import tx_duration
+from .stats import LOST
 from .traffic import AppFrame, fragment
 
 log = logging.getLogger(__name__)
-
-LOST = None
 
 SL = "sl"
 GREEDY = "greedy"
@@ -42,7 +41,6 @@ UNIFORM = "uniform"
 CONGESTION = "congestion"
 CONDITION = "condition"
 POLICIES = (SL, GREEDY, UNIFORM, CONGESTION, CONDITION)
-SAP_POLICIES = (UNIFORM, CONGESTION, CONDITION)
 
 POLICY_ALIASES = {
     "single_link": SL,
@@ -60,6 +58,14 @@ def canonical_policy(name: str) -> str:
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {name!r}; expected one of {POLICIES}")
     return policy
+
+
+def check_link_count(policy: str, n_links: int):
+    """sl runs on exactly one link; every multi-link policy needs two or more."""
+    if policy == SL and n_links != 1:
+        raise ValueError("sl requires exactly 1 link")
+    if policy != SL and n_links < 2:
+        raise ValueError(f"{policy} requires at least 2 links")
 
 
 class CongestionEstimate:
@@ -115,6 +121,29 @@ def split_weighted(n: int, weights: list[float]) -> list[int]:
     return counts
 
 
+def _uniform_shares(dev: "MldDevice", n: int) -> list[int]:
+    return split_uniform(n, len(dev.macs))
+
+
+def _congestion_shares(dev: "MldDevice", n: int) -> list[int]:
+    return split_weighted(n, [est.free_time_us() for est in dev.estimators])
+
+
+def _condition_shares(dev: "MldDevice", n: int) -> list[int]:
+    dest = mpdu_dest(dev.pending[0])
+    return split_weighted(n, [est.free_time_us() * mac.decided_rate(dest)
+                              for est, mac in zip(dev.estimators, dev.macs)])
+
+
+# Share rules of the pre-splitting policies: per-link MPDU counts for the
+# n pending MPDUs.  sl and greedy have none; their links drain the pool.
+SHARE_RULES = {
+    UNIFORM: _uniform_shares,
+    CONGESTION: _congestion_shares,
+    CONDITION: _condition_shares,
+}
+
+
 class MldDevice:
     """One AP or STA: the shared buffer, its link MACs, and the policy."""
 
@@ -126,7 +155,7 @@ class MldDevice:
                  default_snr_db: float = 100.0):
         self.sim = sim
         self.device = device
-        self.policy = canonical_policy(policy)
+        self.shares = SHARE_RULES.get(canonical_policy(policy))
         self.collector = collector
         self.buffer_cap = buffer_cap
         self.count_own_tx = count_own_tx
@@ -150,12 +179,6 @@ class MldDevice:
         self.macs.append(mac)
         self.estimators.append(CongestionEstimate(self.update_period_us, self.ma_window))
         self._busy_snapshots.append(0)
-
-    def validate(self):
-        if self.policy == SL and len(self.macs) != 1:
-            raise ValueError("sl requires exactly 1 link")
-        if self.policy != SL and len(self.macs) < 2:
-            raise ValueError(f"{self.policy} requires at least 2 links")
 
     # -- wiring hooks used by LinkMac -----------------------------------
 
@@ -184,25 +207,14 @@ class MldDevice:
         self.remaining[frame] = len(mpdus)
         was_empty = not self.pending
         self.pending.extend(mpdus)
-        if self.policy in SAP_POLICIES and was_empty:
+        if self.shares and was_empty:
             self._run_policy()
         self._kick_macs()
 
     # -- policy ------------------------------------------------------------
 
-    def _weights(self) -> list[float]:
-        free = [est.free_time_us() for est in self.estimators]
-        if self.policy == CONGESTION:
-            return free
-        dest = mpdu_dest(self.pending[0])
-        return [f * mac.decided_rate(dest) for f, mac in zip(free, self.macs)]
-
     def _run_policy(self):
-        n = len(self.pending)
-        if self.policy == UNIFORM:
-            counts = split_uniform(n, len(self.macs))
-        else:
-            counts = split_weighted(n, self._weights())
+        counts = self.shares(self, len(self.pending))
         start = 0
         for mac, c in zip(self.macs, counts):
             if c:
@@ -212,25 +224,21 @@ class MldDevice:
         self.policy_runs += 1
 
     def _kick_macs(self):
-        if self.policy in SAP_POLICIES:
-            for mac in self.macs:
-                if mac.allocated:
-                    mac.ensure_contending()
-        elif self.pending:
-            for mac in self.macs:
+        for mac in self.macs:
+            if (mac.allocated if self.shares else self.pending):
                 mac.ensure_contending()
 
     # -- transmission service (called by LinkMac) ---------------------------
 
     def build_ampdu(self, mac: LinkMac):
-        source = mac.allocated if self.policy in SAP_POLICIES else self.pending
+        source = mac.allocated if self.shares else self.pending
         if not source:
             return None
         dest = mpdu_dest(source[0])
         mcs = mac.pick_mcs(dest)
         mpdus = aggregate(source, mcs, mac.bandwidth)
         del source[:len(mpdus)]
-        if not source and self.policy not in SAP_POLICIES:
+        if not source and not self.shares:
             # pool drained: siblings still counting down backoff have
             # nothing to send, stand them down until new frames arrive
             for mc in self.macs:
@@ -254,23 +262,22 @@ class MldDevice:
                 requeue.append(m)
             else:
                 self._drop(m)
-        if self.policy in SAP_POLICIES:
-            recalled = requeue
-            for mc in self.macs:
-                if mc.allocated:
-                    recalled.extend(mc.allocated)
-                    mc.allocated = []
-            recalled.extend(self.pending)
-            recalled.sort(key=lambda m: m.seq)
-            self.pending = recalled
+        # recall every share and merge it back into the seq-ordered pool
+        for mc in self.macs:
+            if mc.allocated:
+                requeue.extend(mc.allocated)
+                mc.allocated = []
+        if requeue:
+            requeue.extend(self.pending)
+            requeue.sort(key=lambda m: m.seq)
+            self.pending = requeue
+        if self.shares:
             if self.pending:
                 self.restart_count += 1
                 self._run_policy()
             for mc in self.macs:
                 if not mc.allocated:
                     mc.abort_contention()
-        elif requeue:
-            self.pending = sorted(requeue + self.pending, key=lambda m: m.seq)
         self._kick_macs()
 
     # -- frame bookkeeping ---------------------------------------------------

@@ -18,16 +18,12 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from . import mld, phy
-from .engine import Simulator, rng_stream
-from .mac import LinkMac, Medium
+from .engine import US_PER_SEC, Simulator, rng_stream
+from .mac import AP_ID, LinkMac, Medium
 from .stats import LOST, DelayCollector, DelayRecord
 from .traffic import default_stream_set, generate_frames
 
 log = logging.getLogger(__name__)
-
-AP_ID = 0
-
-CARRIER_ORDER = (5.2, 5.5, 6.1, 6.5)
 
 LINK_SET_SHORTHANDS = {
     "80": (80,),
@@ -51,9 +47,9 @@ def expand_links(value) -> tuple[phy.LinkSpec, ...]:
         bws = LINK_SET_SHORTHANDS[value]
     else:
         bws = tuple(int(b) for b in value)
-    if len(bws) > len(CARRIER_ORDER):
+    if len(bws) > len(phy.CARRIERS_GHZ):
         raise ValueError("more links than available carriers")
-    return tuple(phy.LinkSpec(CARRIER_ORDER[i], bw) for i, bw in enumerate(bws))
+    return tuple(phy.LinkSpec(phy.CARRIERS_GHZ[i], bw) for i, bw in enumerate(bws))
 
 
 def links_label(links) -> str:
@@ -83,7 +79,7 @@ class ScenarioConfig:
     traffic_overrides: dict | None = None
     buffer_cap: int = mld.DEFAULT_BUFFER_CAP
     count_own_tx: bool = True
-    update_period_s: float = 0.5
+    update_period_s: float = mld.DEFAULT_UPDATE_PERIOD_US / US_PER_SEC
     ma_window: int = mld.DEFAULT_MA_WINDOW
     rate_control: str = "minstrel"
     fixed_mcs: int = 7
@@ -94,10 +90,7 @@ class ScenarioConfig:
             raise ValueError("n_sta must be at least 1")
         if not self.seeds:
             raise ValueError("at least one seed required")
-        if policy == mld.SL and len(self.links) != 1:
-            raise ValueError("sl requires exactly 1 link")
-        if policy != mld.SL and len(self.links) < 2:
-            raise ValueError(f"{policy} requires at least 2 links")
+        mld.check_link_count(policy, len(self.links))
         bws = tuple(sorted(l.bandwidth_mhz for l in self.links))
         if bws not in ALLOWED_BANDWIDTH_SETS:
             raise ValueError(f"unsupported link set {bws}; "
@@ -116,11 +109,11 @@ class ScenarioConfig:
 
     @property
     def horizon_us(self) -> int:
-        return int(self.sim_duration_s * 1_000_000)
+        return int(self.sim_duration_s * US_PER_SEC)
 
     @property
     def update_period_us(self) -> int:
-        return int(self.update_period_s * 1_000_000)
+        return int(self.update_period_s * US_PER_SEC)
 
 
 def streams_of(cfg: ScenarioConfig):
@@ -148,7 +141,7 @@ def deploy(cfg: ScenarioConfig, seed: int) -> Deployment:
     """Disk-uniform positions (r = R sqrt(u)) and uniform activations."""
     pos_rng = rng_stream(seed, "deploy.pos")
     act_rng = rng_stream(seed, "deploy.act")
-    window = int(cfg.activation_window_s * 1_000_000)
+    window = int(cfg.activation_window_s * US_PER_SEC)
     positions, activations = [], []
     for _ in range(cfg.n_sta):
         r = cfg.cell_radius_m * math.sqrt(pos_rng.random())
@@ -169,20 +162,18 @@ class Experiment:
         self.collector = DelayCollector()
         self.deployment = deploy(cfg, seed)
         self.streams = streams_of(cfg)
-        policy = mld.canonical_policy(cfg.policy)
 
         self.media = [Medium(self.sim, link, j) for j, link in enumerate(cfg.links)]
         self.devices: dict[int, mld.MldDevice] = {}
         for dev_id in range(cfg.n_sta + 1):
             device = mld.MldDevice(
-                self.sim, dev_id, policy, self.collector,
+                self.sim, dev_id, cfg.policy, self.collector,
                 buffer_cap=cfg.buffer_cap, count_own_tx=cfg.count_own_tx,
                 update_period_us=cfg.update_period_us, ma_window=cfg.ma_window)
             for medium in self.media:
                 device.add_mac(LinkMac(
                     self.sim, medium, dev_id, device,
                     rate_control=cfg.rate_control, fixed_mcs=cfg.fixed_mcs))
-            device.validate()
             self.devices[dev_id] = device
 
         network = self.devices

@@ -13,9 +13,8 @@ Times are integer microseconds, sizes integer bytes.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
-
-from .engine import RngStream
 
 US_PER_MS = 1000
 
@@ -24,6 +23,7 @@ MPDU_PAYLOAD = 1500  # bytes
 DL_VIDEO = "dl_video"
 UL_VIDEO = "ul_video"
 POSE = "pose"
+TRAFFIC_KINDS = (DL_VIDEO, UL_VIDEO, POSE)
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ class StreamConfig:
     success_rate: float = 0.99
 
     def __post_init__(self):
-        if self.kind not in (DL_VIDEO, UL_VIDEO, POSE):
+        if self.kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if (self.jitter_model is not None) != (self.kind == DL_VIDEO):
             raise ValueError("jitter applies to DL video only")
@@ -146,12 +146,7 @@ def default_stream_set(overrides: dict | None = None) -> list[StreamConfig]:
     return out
 
 
-def stream_set_for_station(sta: int, overrides: dict | None = None) -> list[StreamConfig]:
-    # Parameters are station-independent; identity kept for future asymmetry.
-    return default_stream_set(overrides)
-
-
-def sample_trunc_gauss(model: TruncGaussModel, rng: RngStream) -> float:
+def sample_trunc_gauss(model: TruncGaussModel, rng: random.Random) -> float:
     """Draw from Gaussian(mean, std) conditioned on [min, max].
 
     Rejection keeps the conditioned shape rather than piling mass at the
@@ -165,18 +160,10 @@ def sample_trunc_gauss(model: TruncGaussModel, rng: RngStream) -> float:
             return x
 
 
-def sample_frame_size(cfg: StreamConfig, rng: RngStream | None) -> int:
+def sample_frame_size(cfg: StreamConfig, rng: random.Random | None) -> int:
     if isinstance(cfg.size_model, int):
         return cfg.size_model
     return round(sample_trunc_gauss(cfg.size_model, rng))
-
-
-def next_frame_arrival(cfg: StreamConfig, k: int, rng: RngStream | None) -> int:
-    """Arrival instant of frame k: k * periodicity plus jitter, floored at 0."""
-    t = k * cfg.periodicity_us
-    if cfg.jitter_model is not None:
-        t += round(sample_trunc_gauss(cfg.jitter_model, rng))
-    return max(t, 0)
 
 
 def fragment(frame: AppFrame) -> list[Mpdu]:

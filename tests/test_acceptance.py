@@ -58,8 +58,7 @@ class DictCollector:
 
 def make_device(policy, n_links=2):
     sim = Simulator(seed=3)
-    carriers = (5.2, 5.5, 6.1, 6.5)
-    media = [Medium(sim, phy.LinkSpec(carriers[j], 80), j) for j in range(n_links)]
+    media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 80), j) for j in range(n_links)]
     collector = DictCollector()
     dev = MldDevice(sim, 0, policy, collector)
     for med in media:

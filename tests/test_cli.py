@@ -87,16 +87,16 @@ def test_seeds_flag_overrides_config(tmp_path):
 
 
 def test_manifest_config_roundtrip(tmp_path):
-    code, out = run_cli(tmp_path, "run",
-                        {**TINY, "policy": "congestion_aware", "links": [40, 40],
-                         "traffic": {"enabled": ["pose"]}})
+    config = {**TINY, "policy": "congestion_aware", "links": [40, 40],
+              "traffic": {"enabled": ["pose"]}}
+    code, out = run_cli(tmp_path, "run", config)
     assert code == 0
     manifest = json.loads((out / "manifest.json").read_text())
     echo = manifest["config"]
     assert echo["policy"] == "congestion"
     assert echo["links"] == "2x40"
     resolved = cli.resolve_config(echo)
-    assert resolved == cli.resolve_config(echo)
+    assert resolved == cli.resolve_config(config)
     assert resolved.links == expand_links("2x40")
     assert manifest["version"] and manifest["runtime_s"] >= 0
 

@@ -11,6 +11,7 @@ from mlosim.mld import (
     CongestionEstimate,
     MldDevice,
     canonical_policy,
+    check_link_count,
     split_uniform,
     split_weighted,
 )
@@ -47,8 +48,7 @@ def dl_frame(size, station=1, index=0, t=0):
 
 def make_device(policy, n_links=2, fixed_mcs=11, backoffs=(0,), **kwargs):
     sim = Simulator(seed=3)
-    carriers = (5.2, 5.5, 6.1, 6.5)
-    media = [Medium(sim, phy.LinkSpec(carriers[j], 80), j) for j in range(n_links)]
+    media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 80), j) for j in range(n_links)]
     collector = DictCollector()
     dev = MldDevice(sim, 0, policy, collector, **kwargs)
     for med in media:
@@ -182,12 +182,12 @@ def test_empty_estimator_reports_full_free_time():
 # -- device behavior -------------------------------------------------------
 
 def test_sl_requires_single_link():
-    sim, media, dev, _ = make_device("sl", n_links=2)
-    with pytest.raises(ValueError):
-        dev.validate()
-    sim, media, dev, _ = make_device("uniform", n_links=1)
-    with pytest.raises(ValueError):
-        dev.validate()
+    with pytest.raises(ValueError, match="sl requires exactly 1 link"):
+        check_link_count("sl", 2)
+    with pytest.raises(ValueError, match="uniform requires at least 2 links"):
+        check_link_count("uniform", 1)
+    check_link_count("sl", 1)
+    check_link_count("greedy", 4)
 
 
 def test_uniform_presplits_across_links():

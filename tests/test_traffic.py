@@ -11,9 +11,7 @@ from mlosim.traffic import (
     default_stream_set,
     fragment,
     generate_frames,
-    next_frame_arrival,
     sample_trunc_gauss,
-    stream_set_for_station,
 )
 
 DL_SIZE = TruncGaussModel(mean=21000, std=2205, min=10500, max=31500)
@@ -50,7 +48,8 @@ def test_jitter_draws_centered_and_bounded():
 
 def test_pose_arrival_is_exact_multiple():
     pose = default_stream_set()[2]
-    assert next_frame_arrival(pose, 3, None) == 12_000
+    frames = generate_frames(pose, 0, None, None, 16_000)
+    assert frames[3].arrival_time == 12_000
 
 
 def test_dl_video_arrival_with_zero_jitter():
@@ -60,7 +59,8 @@ def test_dl_video_arrival_with_zero_jitter():
     cfg = StreamConfig(kind="dl_video", periodicity_us=16667, pdb_us=10_000,
                        size_model=DL_SIZE, data_rate_mbps=10.0, frame_rate=60.0,
                        jitter_model=no_jitter)
-    assert next_frame_arrival(cfg, 6, rng_stream(0, "j")) == 100_002
+    frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 100_003)
+    assert frames[6].arrival_time == 100_002
     assert dl.periodicity_us == 16667
 
 
@@ -69,7 +69,8 @@ def test_negative_jitter_at_k0_clamps_to_zero():
     cfg = StreamConfig(kind="dl_video", periodicity_us=16667, pdb_us=10_000,
                        size_model=DL_SIZE, data_rate_mbps=10.0, frame_rate=60.0,
                        jitter_model=always_neg)
-    assert next_frame_arrival(cfg, 0, rng_stream(0, "j")) == 0
+    frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 16_668)
+    assert [f.arrival_time for f in frames] == [0, 16_667 - 4000]
 
 
 def test_fragment_mean_dl_frame():
@@ -100,7 +101,7 @@ def test_fragment_conserves_bytes(size):
 
 
 def test_stream_set_composition():
-    streams = stream_set_for_station(4)
+    streams = default_stream_set()
     assert [s.kind for s in streams] == ["dl_video", "ul_video", "pose"]
     assert [s.pdb_us for s in streams] == [10_000, 30_000, 10_000]
     assert streams[0].jitter_model is not None

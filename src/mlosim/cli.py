@@ -210,6 +210,9 @@ def _sweep_cell(base_cfg: ScenarioConfig, policy: str, links, n: int,
 
 def cmd_sweep(args) -> int:
     raw = load_config(args.config)
+    for key in SWEEP_KEYS:
+        if key in raw and not isinstance(raw[key], list):
+            raise ConfigError(f"config key {key!r} must be a list")
     policies = raw.get("policies", list(mld.POLICIES))
     link_sets = raw.get("link_sets", ["2x40"])
     sta_counts = raw.get("sta_counts")

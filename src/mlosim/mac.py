@@ -1,13 +1,15 @@
 """Per-link lower MAC and the shared medium it contends on.
 
 One `LinkMac` instance exists per device per radio link; all MACs on a
-link share one `Medium`.  Contention is DCF-style CSMA/CA with a single
-access category (CWmin 15, CWmax 1023, AIFS = DIFS): DIFS sensing, slotted
-random backoff frozen while the medium is busy, binary exponential backoff
-on acknowledgment timeout.  Data goes out as AMPDUs bounded by both a
-64-MPDU count limit and a 5.484 ms airtime limit; delivery is confirmed by
-a fixed-duration BlockAck that the receiver returns one SIFS after a
-non-collided PPDU.
+link share one `Medium`, which finds a PPDU's receiver among them by
+device id.  Each MAC keeps the SNR towards each of its peers and calls
+its upper MAC only through build_ampdu and on_resolution.  Contention is
+DCF-style CSMA/CA with a single access category (CWmin 15, CWmax 1023,
+AIFS = DIFS): DIFS sensing, slotted random backoff frozen while the
+medium is busy, binary exponential backoff on acknowledgment timeout.
+Data goes out as AMPDUs bounded by both a 64-MPDU count limit and a
+5.484 ms airtime limit; delivery is confirmed by a fixed-duration
+BlockAck that the receiver returns one SIFS after a non-collided PPDU.
 
 Collisions are capture-free: any overlap corrupts every MPDU of every
 overlapped PPDU, and no BlockAck is returned.  Two transmissions can only
@@ -42,6 +44,7 @@ RETRY_LIMIT = 10
 IDLE, CONTEND, TX = "idle", "contend", "tx"
 
 AP_ID = 0
+DEFAULT_SNR_DB = 100.0  # towards a peer with no SNR set: error-free
 
 
 def mpdu_dest(mpdu: Mpdu) -> int:
@@ -105,6 +108,7 @@ class Medium:
         self.link = link
         self.index = index
         self.err_rng = sim.stream(f"phy.err.link{index}")
+        self.macs: dict[int, LinkMac] = {}  # by device id
         self.contenders: list[LinkMac] = []
         self.active: list[_Tx] = []
         self.reserved_until = 0  # covers the SIFS + BlockAck tail of a PPDU
@@ -193,7 +197,7 @@ class Medium:
         self.reserved_until = ba_end
         self._mark_busy(ba_start, ba_end)
         bitmap = tx.mac.decode_bitmap(tx.ampdu)
-        receiver = tx.mac.peer_mac(tx.ampdu.dst)
+        receiver = self.macs.get(tx.ampdu.dst)
         if receiver is not None:
             receiver.mark_own_tx(ba_start, ba_end)
         self.sim.schedule(ba_end, self._ba_done, tx, bitmap)
@@ -207,19 +211,17 @@ class LinkMac:
     """One device's contention state machine on one link."""
 
     def __init__(self, sim, medium: Medium, device: int, owner,
-                 rate_control: str = "minstrel", fixed_mcs: int = 7,
-                 selector_window: int = phy.RateSelector.WINDOW,
-                 probe_prob: float = phy.RateSelector.PROBE_PROB):
+                 rate_control: str = "minstrel", fixed_mcs: int = 7):
         self.sim = sim
         self.medium = medium
+        medium.macs[device] = self
         self.device = device
         self.owner = owner  # upper MAC: build_ampdu() / on_resolution()
         self.link_index = medium.index
         self.bandwidth = medium.link.bandwidth_mhz
         self.rate_control = rate_control
         self.fixed_mcs = fixed_mcs
-        self.selector_window = selector_window
-        self.probe_prob = probe_prob
+        self.snr_db: dict[int, float] = {}  # by peer device id
         self.backoff_rng = sim.stream(f"mac.backoff.dev{device}.link{self.link_index}")
         self.rate_rng = sim.stream(f"phy.rate.dev{device}.link{self.link_index}")
         self.selectors: dict[int, phy.RateSelector] = {}
@@ -240,8 +242,8 @@ class LinkMac:
     def selector_for(self, dest: int) -> phy.RateSelector:
         sel = self.selectors.get(dest)
         if sel is None:
-            sel = phy.RateSelector(self.bandwidth, snr_db=self.owner.snr_to(dest, self.link_index),
-                                   window=self.selector_window, probe_prob=self.probe_prob)
+            sel = phy.RateSelector(self.bandwidth,
+                                   snr_db=self.snr_db.get(dest, DEFAULT_SNR_DB))
             self.selectors[dest] = sel
         return sel
 
@@ -318,15 +320,12 @@ class LinkMac:
 
     def decode_bitmap(self, ampdu: Ampdu) -> list:
         """Per-MPDU delivery flags at the receiver, noise errors only."""
-        snr = self.owner.snr_to(ampdu.dst, self.link_index)
+        snr = self.snr_db.get(ampdu.dst, DEFAULT_SNR_DB)
         p = phy.error_probability(ampdu.mcs, snr)
         if p <= 0.0:
             return [True] * len(ampdu.mpdus)
         rng = self.medium.err_rng
         return [not phy.mpdu_error(ampdu.mcs, snr, rng) for _ in ampdu.mpdus]
-
-    def peer_mac(self, dest: int):
-        return self.owner.mac_of(dest, self.link_index)
 
     def on_tx_collided(self, ampdu: Ampdu):
         self.sim.schedule(self.sim.now + ACK_TIMEOUT_US, self._on_timeout, ampdu)

@@ -18,9 +18,10 @@ pool is redistributed.  A link whose share lands on a busy medium simply
 keeps the MPDUs parked until the next restart, which is what starves
 transfers when one link never wins access.
 
-Frame delay is recorded when the BlockAck confirming the frame's last
-fragment completes; frames that exhaust retries, overflow the buffer, or
-never finish get the LOST sentinel.
+stats.record puts a frame's outcome on the frame: its delay once the
+BlockAck confirming its last fragment completes, or LOST when the buffer
+has no room for it or a fragment exhausts its retries.  Link MACs call
+into the device only through build_ampdu and on_resolution.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from collections import deque
 
 from .mac import Ampdu, LinkMac, aggregate, mpdu_dest, retry_or_drop
 from .phy import tx_duration
-from .stats import LOST
+from .stats import LOST, record
 from .traffic import AppFrame, fragment
 
 log = logging.getLogger(__name__)
@@ -95,11 +96,11 @@ def split_uniform(n: int, i: int) -> list[int]:
     """Sequential shares of ceil(n/i), last links absorbing the shortfall."""
     share = -(-n // i)
     counts = []
-    remaining = n
+    left = n
     for _ in range(i):
-        c = min(share, remaining)
+        c = min(share, left)
         counts.append(c)
-        remaining -= c
+        left -= c
     return counts
 
 
@@ -147,30 +148,24 @@ SHARE_RULES = {
 class MldDevice:
     """One AP or STA: the shared buffer, its link MACs, and the policy."""
 
-    def __init__(self, sim, device: int, policy: str, collector,
+    def __init__(self, sim, device: int, policy: str,
                  buffer_cap: int = DEFAULT_BUFFER_CAP,
                  count_own_tx: bool = True,
                  update_period_us: int = DEFAULT_UPDATE_PERIOD_US,
-                 ma_window: int = DEFAULT_MA_WINDOW,
-                 default_snr_db: float = 100.0):
+                 ma_window: int = DEFAULT_MA_WINDOW):
         self.sim = sim
         self.device = device
         self.shares = SHARE_RULES.get(canonical_policy(policy))
-        self.collector = collector
         self.buffer_cap = buffer_cap
         self.count_own_tx = count_own_tx
         self.update_period_us = update_period_us
         self.ma_window = ma_window
-        self.default_snr_db = default_snr_db
         self.macs: list[LinkMac] = []
         self.estimators: list[CongestionEstimate] = []
         self._busy_snapshots: list[int] = []
-        self.snr_map: dict[tuple[int, int], float] = {}
-        self.network: dict[int, "MldDevice"] | None = None
         self.pending: list = []
         self.mpdu_load = 0
         self._seq = 0
-        self.remaining: dict[AppFrame, int] = {}
         self.policy_runs = 0
         self.restart_count = 0
         self.admission_drops = 0
@@ -180,16 +175,6 @@ class MldDevice:
         self.estimators.append(CongestionEstimate(self.update_period_us, self.ma_window))
         self._busy_snapshots.append(0)
 
-    # -- wiring hooks used by LinkMac -----------------------------------
-
-    def snr_to(self, dest: int, link_index: int) -> float:
-        return self.snr_map.get((dest, link_index), self.default_snr_db)
-
-    def mac_of(self, dest: int, link_index: int):
-        if self.network is None:
-            return None
-        return self.network[dest].macs[link_index]
-
     # -- traffic entry ---------------------------------------------------
 
     def on_frame(self, frame: AppFrame):
@@ -198,13 +183,13 @@ class MldDevice:
             self.admission_drops += 1
             log.debug("dev%d buffer full, dropping %s frame %d",
                       self.device, frame.stream.kind, frame.index)
-            self.collector.record(frame, LOST)
+            record(frame, LOST)
             return
         for m in mpdus:
             m.seq = self._seq
             self._seq += 1
         self.mpdu_load += len(mpdus)
-        self.remaining[frame] = len(mpdus)
+        frame.mpdus_left = len(mpdus)
         was_empty = not self.pending
         self.pending.extend(mpdus)
         if self.shares and was_empty:
@@ -285,21 +270,17 @@ class MldDevice:
     def _deliver(self, mpdu, now: int):
         self.mpdu_load -= 1
         frame = mpdu.frame
-        left = self.remaining.get(frame)
-        if left is None:  # a sibling already pushed the frame to LOST
-            return
-        if left == 1:
-            del self.remaining[frame]
-            self.collector.record(frame, now - frame.arrival_time)
-        else:
-            self.remaining[frame] = left - 1
+        frame.mpdus_left -= 1
+        # a frame with a dropped fragment never gets here: that fragment
+        # is never delivered, so mpdus_left stays above zero
+        if not frame.mpdus_left:
+            record(frame, now - frame.arrival_time)
 
     def _drop(self, mpdu):
         self.mpdu_load -= 1
         frame = mpdu.frame
-        if frame in self.remaining:
-            del self.remaining[frame]
-            self.collector.record(frame, LOST)
+        if frame.delay_us is not LOST:  # siblings may have dropped already
+            record(frame, LOST)
 
     # -- congestion sampling ---------------------------------------------------
 

@@ -117,10 +117,10 @@ def mpdu_error(mcs: McsEntry, snr_db: float, rng) -> bool:
     return rng.random() < p
 
 
-def max_feasible_index(snr_db: float, table=MCS_TABLE) -> int:
+def max_feasible_index(snr_db: float) -> int:
     """Highest index whose error probability is below 1 at this SNR."""
     best = 0
-    for e in table:
+    for e in MCS_TABLE:
         if error_probability(e, snr_db) < 1.0:
             best = e.index
     return best
@@ -129,30 +129,26 @@ def max_feasible_index(snr_db: float, table=MCS_TABLE) -> int:
 class RateSelector:
     """Windowed exploit/probe MCS selection for one transmitter-link pair.
 
-    Keeps the last `window` attempt outcomes (MPDU delivery fraction per
+    Keeps the last WINDOW attempt outcomes (MPDU delivery fraction per
     PPDU) for each MCS.  Exploit steps pick the feasible index with the
     highest data_rate x mean(outcomes); indexes never attempted carry no
     estimate, so coverage comes from the 10% probe steps, which draw
     uniformly among the other feasible indexes.  A fresh selector exploits
-    `initial_index` until it has any history.
+    INITIAL_INDEX until it has any history.
     """
 
     WINDOW = 25
     PROBE_PROB = 0.1
     INITIAL_INDEX = 4
 
-    def __init__(self, bandwidth_mhz: int, snr_db: float | None = None,
-                 window: int = WINDOW, probe_prob: float = PROBE_PROB,
-                 initial_index: int = INITIAL_INDEX, table=MCS_TABLE):
+    def __init__(self, bandwidth_mhz: int, snr_db: float | None = None):
         self.bandwidth_mhz = bandwidth_mhz
-        self.table = table
-        self.probe_prob = probe_prob
-        limit = max_feasible_index(snr_db, table) if snr_db is not None else len(table) - 1
+        limit = max_feasible_index(snr_db) if snr_db is not None else len(MCS_TABLE) - 1
         self.feasible = list(range(limit + 1))
-        self.initial_index = min(initial_index, limit)
-        self.windows = [deque(maxlen=window) for _ in table]
-        self._rates = [e.data_rate(bandwidth_mhz) for e in table]
-        self._sums = [0.0] * len(table)  # running sum of each window
+        self.initial_index = min(self.INITIAL_INDEX, limit)
+        self.windows = [deque(maxlen=self.WINDOW) for _ in MCS_TABLE]
+        self._rates = [e.data_rate(bandwidth_mhz) for e in MCS_TABLE]
+        self._sums = [0.0] * len(MCS_TABLE)  # running sum of each window
         self._best = self.initial_index
         self._dirty = False
 
@@ -191,9 +187,9 @@ class RateSelector:
 
     def select(self, rng) -> McsEntry:
         best = self.peek_best()
-        if len(self.feasible) > 1 and rng.random() < self.probe_prob:
+        if len(self.feasible) > 1 and rng.random() < self.PROBE_PROB:
             alt = rng.randrange(len(self.feasible) - 1)
             if alt >= best:
                 alt += 1
-            return self.table[alt]
-        return self.table[best]
+            return MCS_TABLE[alt]
+        return MCS_TABLE[best]

@@ -4,10 +4,12 @@ One AP (device 0) and n stations share every configured radio link.
 Stations are dropped uniformly over a disk around the AP and activate at
 independent uniform instants inside the activation window; each station's
 three flows are phase-aligned to its activation, which staggers frame
-arrivals across stations.  A run pre-generates all application frames
-(their randomness depends only on the seed and the per-stream RNG
-labels), schedules their buffer arrivals, runs the event loop to the
-horizon, and marks every unfinished frame LOST.
+arrivals across stations.  Each link MAC holds the SNR towards its peers
+on that link, set here from the station's distance to the AP.  A run
+pre-generates all application frames (their randomness depends only on
+the seed and the per-stream RNG labels), schedules their buffer
+arrivals, runs the event loop to the horizon, and reads each frame's
+outcome off the frame, unfinished frames as LOST.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from . import mld, phy
 from .engine import US_PER_SEC, Simulator, rng_stream
 from .mac import AP_ID, LinkMac, Medium
-from .stats import LOST, DelayCollector, DelayRecord
+from .stats import DelayRecord, frame_rows
 from .traffic import default_stream_set, generate_frames
 
 log = logging.getLogger(__name__)
@@ -106,6 +108,12 @@ class ScenarioConfig:
             raise ValueError("durations must be positive")
         if self.sim_duration_s <= self.activation_window_s:
             raise ValueError("sim_duration_s must exceed activation_window_s")
+        if self.update_period_us < 1:
+            raise ValueError("update_period_s must be at least 1 us")
+        if self.ma_window < 1:
+            raise ValueError("ma_window must be at least 1")
+        if self.buffer_cap < 1:
+            raise ValueError("buffer_cap must be at least 1")
 
     @property
     def horizon_us(self) -> int:
@@ -159,7 +167,6 @@ class Experiment:
         self.cfg = cfg
         self.seed = seed
         self.sim = Simulator(seed)
-        self.collector = DelayCollector()
         self.deployment = deploy(cfg, seed)
         self.streams = streams_of(cfg)
 
@@ -167,7 +174,7 @@ class Experiment:
         self.devices: dict[int, mld.MldDevice] = {}
         for dev_id in range(cfg.n_sta + 1):
             device = mld.MldDevice(
-                self.sim, dev_id, cfg.policy, self.collector,
+                self.sim, dev_id, cfg.policy,
                 buffer_cap=cfg.buffer_cap, count_own_tx=cfg.count_own_tx,
                 update_period_us=cfg.update_period_us, ma_window=cfg.ma_window)
             for medium in self.media:
@@ -176,15 +183,12 @@ class Experiment:
                     rate_control=cfg.rate_control, fixed_mcs=cfg.fixed_mcs))
             self.devices[dev_id] = device
 
-        network = self.devices
-        for device in self.devices.values():
-            device.network = network
         for sta in range(1, cfg.n_sta + 1):
             dist = self.deployment.distance(sta - 1)
-            for j, link in enumerate(cfg.links):
-                s = phy.snr(link, dist)
-                self.devices[AP_ID].snr_map[(sta, j)] = s
-                self.devices[sta].snr_map[(AP_ID, j)] = s
+            for medium in self.media:
+                s = phy.snr(medium.link, dist)
+                medium.macs[AP_ID].snr_db[sta] = s
+                medium.macs[sta].snr_db[AP_ID] = s
 
         self.frames = self._generate_traffic()
         # arrivals are chained per stream (each event schedules its
@@ -231,10 +235,7 @@ class Experiment:
 
     def run(self) -> list[DelayRecord]:
         self.sim.run_until(self.cfg.horizon_us)
-        for frame in self.frames:
-            if not self.collector.has(frame):
-                self.collector.record(frame, LOST)
-        return self.collector.rows(self.seed)
+        return frame_rows(self.frames, self.seed)
 
 
 def run_one(cfg: ScenarioConfig, seed: int) -> list[DelayRecord]:

@@ -17,8 +17,9 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
-from .traffic import StreamConfig
+from .traffic import UNSET, StreamConfig
 
 log = logging.getLogger(__name__)
 
@@ -36,24 +37,23 @@ class DelayRecord:
     delay_us: int | None
 
 
-class DelayCollector:
-    """Per-run sink; guards against double-recording a frame."""
+def record(frame, delay_us):
+    """Set a frame's one outcome: its delay in microseconds, or LOST."""
+    if frame.delay_us != UNSET:
+        raise RuntimeError(f"frame {(frame.station, frame.stream.kind, frame.index)} "
+                           "recorded twice")
+    frame.delay_us = delay_us
 
-    def __init__(self):
-        self._records = {}
 
-    def record(self, frame, delay_us):
-        key = (frame.station, frame.stream.kind, frame.index)
-        if key in self._records:
-            raise RuntimeError(f"frame {key} recorded twice")
-        self._records[key] = delay_us
-
-    def has(self, frame) -> bool:
-        return (frame.station, frame.stream.kind, frame.index) in self._records
-
-    def rows(self, seed: int) -> list[DelayRecord]:
-        return [DelayRecord(seed, sta, kind, idx, delay)
-                for (sta, kind, idx), delay in sorted(self._records.items())]
+def frame_rows(frames, seed: int) -> list[DelayRecord]:
+    """One row per frame, sorted by (station, stream, frame index); a frame
+    with no outcome yet was unfinished at the horizon and counts as LOST.
+    """
+    rows = [DelayRecord(seed, f.station, f.stream.kind, f.index,
+                        LOST if f.delay_us == UNSET else f.delay_us)
+            for f in frames]
+    rows.sort(key=attrgetter("station", "stream", "frame_index"))
+    return rows
 
 
 def _sort_key(delay) -> float:

@@ -25,6 +25,8 @@ UL_VIDEO = "ul_video"
 POSE = "pose"
 TRAFFIC_KINDS = (DL_VIDEO, UL_VIDEO, POSE)
 
+UNSET = -1  # AppFrame.delay_us until the frame has an outcome
+
 
 @dataclass(frozen=True)
 class TruncGaussModel:
@@ -77,7 +79,9 @@ class AppFrame:
     """One application-layer frame (video frame or pose update).
 
     Identity semantics: frames are tracked as objects through the MAC, so
-    equality is not structural.
+    equality is not structural.  The frame carries its own outcome:
+    `delay_us` stays UNSET until stats.record sets a delay or LOST, and
+    `mpdus_left` counts the admitted MPDUs not yet delivered.
     """
 
     stream: StreamConfig
@@ -86,6 +90,8 @@ class AppFrame:
     gen_time: int
     arrival_time: int
     size: int
+    delay_us: int | None = UNSET
+    mpdus_left: int = 0
 
 
 @dataclass(eq=False, slots=True)

@@ -27,7 +27,8 @@ from mlosim.mac import BLOCK_ACK_US, DIFS_US, SIFS_US, SLOT_US, LinkMac, Medium
 from mlosim.mld import LOST, MldDevice, split_uniform, split_weighted
 from mlosim.scenario import ScenarioConfig, expand_links, run_one, run_seeds, streams_of
 from mlosim.stats import all_pass, capacity_search, evaluate
-from mlosim.traffic import AppFrame, default_stream_set, sample_frame_size, sample_trunc_gauss
+from mlosim.traffic import (UNSET, AppFrame, default_stream_set, sample_frame_size,
+                             sample_trunc_gauss)
 
 DL, UL, POSE = default_stream_set()
 
@@ -48,24 +49,15 @@ class FixedRng:
         return v
 
 
-class DictCollector:
-    def __init__(self):
-        self.records = {}
-
-    def record(self, frame, delay):
-        self.records[(frame.station, frame.stream.kind, frame.index)] = delay
-
-
 def make_device(policy, n_links=2):
     sim = Simulator(seed=3)
     media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 80), j) for j in range(n_links)]
-    collector = DictCollector()
-    dev = MldDevice(sim, 0, policy, collector)
+    dev = MldDevice(sim, 0, policy)
     for med in media:
         mac = LinkMac(sim, med, 0, dev, rate_control="fixed", fixed_mcs=11)
         mac.backoff_rng = FixedRng([0])
         dev.add_mac(mac)
-    return sim, media, dev, collector
+    return sim, media, dev
 
 
 # -- criterion 1 ------------------------------------------------------------
@@ -115,7 +107,7 @@ def test_criterion_2_policy_arithmetic():
 def test_criterion_3_estimator_convergence():
     sim = Simulator(seed=2)
     medium = Medium(sim, phy.LinkSpec(5.2, 80), 0)
-    dev = MldDevice(sim, 0, "congestion", DictCollector())
+    dev = MldDevice(sim, 0, "congestion")
     dev.add_mac(LinkMac(sim, medium, 0, dev, rate_control="fixed", fixed_mcs=11))
     for k in range(10):  # one 200 ms foreign pulse per 500 ms period
         sim.schedule(k * 500_000, medium.inject_busy, 200_000)
@@ -131,7 +123,7 @@ def test_criterion_3_estimator_convergence():
 
 def test_criterion_4_blocked_link_drain():
     def drain(policy):
-        sim, media, dev, collector = make_device(policy)
+        sim, media, dev = make_device(policy)
         media[1].inject_busy(10**9)  # link B held busy forever
         sent = []
         orig = dev.build_ampdu
@@ -147,7 +139,7 @@ def test_criterion_4_blocked_link_drain():
                          arrival_time=0, size=96_000)  # 64 MPDUs
         dev.on_frame(frame)
         sim.run_until(1_000_000)
-        assert collector.records[(1, "dl_video", 0)] is not LOST
+        assert frame.delay_us not in (LOST, UNSET)
         assert dev.mpdu_load == 0
         assert all(link == 0 for link, _ in sent)
         return [count for _, count in sent], dev.restart_count

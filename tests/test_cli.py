@@ -77,6 +77,19 @@ def test_run_names_unknown_traffic_field(tmp_path, capsys):
     assert "'pdb'" in err and "dl_video" in err
 
 
+@pytest.mark.parametrize("key,value", [
+    ("update_period_s", 0),  # would reschedule the estimator tick forever
+    ("update_period_s", -0.1),
+    ("update_period_s", 1e-7),  # truncates to 0 us
+    ("ma_window", 0),
+    ("ma_window", -1),
+    ("buffer_cap", 0),
+])
+def test_resolve_config_rejects_out_of_range_knobs(key, value):
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.resolve_config({**TINY, key: value})
+
+
 def test_seeds_flag_overrides_config(tmp_path):
     code, out = run_cli(tmp_path, "run", TINY, extra=("--seeds", "7"))
     assert code == 0
@@ -182,6 +195,18 @@ def test_sweep_rejects_bad_policy(tmp_path, capsys):
                       {"policies": ["fastest"], "sta_counts": [1]})
     assert code == 1
     assert "fastest" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [
+    {"sta_counts": 5},
+    {"policies": "greedy", "sta_counts": [1]},
+    {"link_sets": "2x40", "sta_counts": [1]},
+])
+def test_sweep_requires_list_keys(tmp_path, capsys, bad):
+    code, _ = run_cli(tmp_path, "sweep", bad)
+    assert code == 1
+    key = next(iter(bad))
+    assert f"config key {key!r} must be a list" in capsys.readouterr().err
 
 
 def test_sweep_rerun_byte_identical(tmp_path):

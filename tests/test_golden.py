@@ -4,7 +4,8 @@ Each case runs `mlosim run` on a short config and compares the sha256 of
 delays.csv and summary.txt with a pinned value.  The stress cases (one
 seed, ten stations, 0.1 s estimator period) drive thousands of SAP
 restarts, LOST frames and admission drops per run, so they exercise the
-split-policy re-allocation and every loss path.
+split-policy re-allocation, buffer overflow and the horizon; the retry
+case loses frames to retry exhaustion.
 
 A digest may only change on purpose: re-pin it together with a CHANGES.md
 note saying why the output moved.
@@ -74,6 +75,14 @@ CASES = {
         {**STRESS, "policy": "greedy", "links": "2x40", "buffer_cap": 64},
         "4858c80eb3e49a5ac1264229ec73e00b5af9f2867ded137f4b62dd378a3890a3",
         "6dd123b7e1d84a8f3c57316e986d022faa1209405ee78df3da7846e558e8667e"),
+    # MCS 11 at up to 14 m sits on the error ramp: hundreds of MPDUs
+    # exhaust their retries, and siblings of an already LOST frame are
+    # still dropped or delivered afterwards
+    "retry-condition-2x40-r14": (
+        {**BASE, "policy": "condition", "links": "2x40", "rate_control": "fixed",
+         "fixed_mcs": 11, "cell_radius_m": 14.0},
+        "8a783a456c93541d3ffdd6ea76f2eeef709a13864c5ce56d22e52e085ddf178e",
+        "eee212873d4a00e9cc522205464593d42e578aae7a1e65cba4b5ab7153f48c99"),
 }
 
 

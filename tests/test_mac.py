@@ -40,13 +40,11 @@ class FixedRng:
 class StubOwner:
     """Minimal upper MAC: serves a single queue, records outcomes."""
 
-    def __init__(self, sim, snr=60.0):
+    def __init__(self, sim):
         self.sim = sim
         self.queue = []
-        self.snr = snr
         self.grant_times = []
         self.resolutions = []  # (time, ampdu, bitmap)
-        self.peer = None
 
     def build_ampdu(self, mac):
         self.grant_times.append(self.sim.now)
@@ -60,12 +58,6 @@ class StubOwner:
 
     def on_resolution(self, mac, ampdu, bitmap):
         self.resolutions.append((self.sim.now, ampdu, bitmap))
-
-    def snr_to(self, dest, link_index):
-        return self.snr
-
-    def mac_of(self, dest, link_index):
-        return self.peer
 
 
 def setup_link(n_macs=1, bw=80):
@@ -288,9 +280,9 @@ def test_own_tx_attribution_sender_and_ba_receiver():
     sim, medium, macs, owners = setup_link(n_macs=2)
     a, b = macs
     oa, _ = owners
-    oa.peer = b  # b plays the receiving device on this link
+    assert medium.macs[b.device] is b
     a.backoff_rng = FixedRng([0])
-    oa.queue = make_mpdus(7500)
+    oa.queue = make_mpdus(7500, station=b.device, stream=DL)  # addressed to b
     a.ensure_contending()
     sim.run_until(10_000)
     assert a.own_tx_total(10_000) == DUR_5

@@ -3,9 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mlosim import phy
+from mlosim import mld, phy
 from mlosim.engine import Simulator
-from mlosim.mac import BLOCK_ACK_US, DIFS_US, SIFS_US, LinkMac, Medium
+from mlosim.mac import BLOCK_ACK_US, DIFS_US, RETRY_LIMIT, SIFS_US, LinkMac, Medium
 from mlosim.mld import (
     LOST,
     CongestionEstimate,
@@ -15,7 +15,7 @@ from mlosim.mld import (
     split_uniform,
     split_weighted,
 )
-from mlosim.traffic import AppFrame, default_stream_set
+from mlosim.traffic import UNSET, AppFrame, default_stream_set
 
 DL = default_stream_set()[0]
 MCS11_80 = phy.MCS_TABLE[11]
@@ -31,16 +31,6 @@ class FixedRng:
         return v
 
 
-class DictCollector:
-    def __init__(self):
-        self.records = {}
-
-    def record(self, frame, delay):
-        key = (frame.station, frame.stream.kind, frame.index)
-        assert key not in self.records, "frame recorded twice"
-        self.records[key] = delay
-
-
 def dl_frame(size, station=1, index=0, t=0):
     return AppFrame(stream=DL, station=station, index=index,
                     gen_time=t, arrival_time=t, size=size)
@@ -49,13 +39,12 @@ def dl_frame(size, station=1, index=0, t=0):
 def make_device(policy, n_links=2, fixed_mcs=11, backoffs=(0,), **kwargs):
     sim = Simulator(seed=3)
     media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 80), j) for j in range(n_links)]
-    collector = DictCollector()
-    dev = MldDevice(sim, 0, policy, collector, **kwargs)
+    dev = MldDevice(sim, 0, policy, **kwargs)
     for med in media:
         mac = LinkMac(sim, med, 0, dev, rate_control="fixed", fixed_mcs=fixed_mcs)
         mac.backoff_rng = FixedRng(backoffs)
         dev.add_mac(mac)
-    return sim, media, dev, collector
+    return sim, media, dev
 
 
 def spy_transmissions(sim, dev):
@@ -191,21 +180,21 @@ def test_sl_requires_single_link():
 
 
 def test_uniform_presplits_across_links():
-    sim, media, dev, _ = make_device("uniform", n_links=2)
+    sim, media, dev = make_device("uniform", n_links=2)
     dev.on_frame(dl_frame(21000))  # 14 MPDUs
     assert [len(m.allocated) for m in dev.macs] == [7, 7]
     assert dev.pending == []
 
 
 def test_greedy_leaves_pool_shared():
-    sim, media, dev, _ = make_device("greedy", n_links=2)
+    sim, media, dev = make_device("greedy", n_links=2)
     dev.on_frame(dl_frame(21000))
     assert [len(m.allocated) for m in dev.macs] == [0, 0]
     assert len(dev.pending) == 14
 
 
 def test_congestion_allocation_follows_free_time():
-    sim, media, dev, _ = make_device("congestion", n_links=2)
+    sim, media, dev = make_device("congestion", n_links=2)
     for _ in range(10):
         dev.estimators[0].update(200_000)  # free 0.3 s
         dev.estimators[1].update(300_000)  # free 0.2 s
@@ -214,7 +203,7 @@ def test_congestion_allocation_follows_free_time():
 
 
 def test_condition_allocation_weighs_data_rate():
-    sim, media, dev, _ = make_device("condition", n_links=2)
+    sim, media, dev = make_device("condition", n_links=2)
     dev.macs[0].fixed_mcs = 7   # 344 Mb/s at 80 MHz
     dev.macs[1].fixed_mcs = 4   # 206.4 Mb/s
     dev.on_frame(dl_frame(15000))  # equal free time; 10 MPDUs
@@ -222,7 +211,7 @@ def test_condition_allocation_weighs_data_rate():
 
 
 def test_condition_equal_rates_reduces_to_congestion():
-    sim, media, dev, _ = make_device("condition", n_links=2)
+    sim, media, dev = make_device("condition", n_links=2)
     for _ in range(10):
         dev.estimators[0].update(200_000)
         dev.estimators[1].update(300_000)
@@ -231,32 +220,34 @@ def test_condition_equal_rates_reduces_to_congestion():
 
 
 def test_greedy_single_access_for_one_frame():
-    sim, media, dev, collector = make_device("greedy", n_links=2)
+    sim, media, dev = make_device("greedy", n_links=2)
     sent = spy_transmissions(sim, dev)
-    dev.on_frame(dl_frame(21000))
+    frame = dl_frame(21000)
+    dev.on_frame(frame)
     sim.run_until(100_000)
     assert len(sent) == 1 and sent[0][2] == 14
-    key = (1, "dl_video", 0)
     dur = phy.tx_duration(21000, MCS11_80, 80)
-    assert collector.records[key] == DIFS_US + dur + SIFS_US + BLOCK_ACK_US
+    assert frame.delay_us == DIFS_US + dur + SIFS_US + BLOCK_ACK_US
 
 
 def test_delay_recorded_at_blockack_completion():
-    sim, media, dev, collector = make_device("sl", n_links=1, backoffs=(5,))
-    dev.on_frame(dl_frame(21000))
+    sim, media, dev = make_device("sl", n_links=1, backoffs=(5,))
+    frame = dl_frame(21000)
+    dev.on_frame(frame)
     sim.run_until(100_000)
     dur = phy.tx_duration(21000, MCS11_80, 80)
     expected = DIFS_US + 5 * 9 + dur + SIFS_US + BLOCK_ACK_US
-    assert collector.records[(1, "dl_video", 0)] == expected
+    assert frame.delay_us == expected
 
 
 def test_sap_blocked_link_drain_and_restart_count():
-    sim, media, dev, collector = make_device("uniform", n_links=2)
+    sim, media, dev = make_device("uniform", n_links=2)
     media[1].inject_busy(10**9)  # link B never goes idle
     sent = spy_transmissions(sim, dev)
-    dev.on_frame(dl_frame(96000))  # 64 MPDUs
+    frame = dl_frame(96000)  # 64 MPDUs
+    dev.on_frame(frame)
     sim.run_until(1_000_000)
-    assert collector.records[(1, "dl_video", 0)] is not LOST
+    assert frame.delay_us not in (LOST, UNSET)
     assert [s[2] for s in sent] == [32, 16, 8, 4, 2, 1, 1]
     assert all(s[1] == 0 for s in sent)
     assert math.ceil(math.log2(64)) <= dev.restart_count <= math.ceil(math.log2(64)) + 2
@@ -264,18 +255,19 @@ def test_sap_blocked_link_drain_and_restart_count():
 
 
 def test_greedy_blocked_link_single_access():
-    sim, media, dev, collector = make_device("greedy", n_links=2)
+    sim, media, dev = make_device("greedy", n_links=2)
     media[1].inject_busy(10**9)
     sent = spy_transmissions(sim, dev)
-    dev.on_frame(dl_frame(96000))
+    frame = dl_frame(96000)
+    dev.on_frame(frame)
     sim.run_until(1_000_000)
     assert [s[2] for s in sent] == [64]
     assert dev.restart_count == 0
-    assert collector.records[(1, "dl_video", 0)] is not LOST
+    assert frame.delay_us not in (LOST, UNSET)
 
 
 def test_sap_restart_preserves_sequence_order():
-    sim, media, dev, _ = make_device("uniform", n_links=2)
+    sim, media, dev = make_device("uniform", n_links=2)
     media[1].inject_busy(10**9)
     dev.on_frame(dl_frame(21000))
     sim.run_until(2_000)  # partway through the drain
@@ -287,9 +279,10 @@ def test_sap_restart_preserves_sequence_order():
 
 
 def test_buffer_cap_drops_whole_frame_as_lost():
-    sim, media, dev, collector = make_device("greedy", n_links=2, buffer_cap=10)
-    dev.on_frame(dl_frame(21000))  # 14 MPDUs > 10
-    assert collector.records[(1, "dl_video", 0)] is LOST
+    sim, media, dev = make_device("greedy", n_links=2, buffer_cap=10)
+    frame = dl_frame(21000)  # 14 MPDUs > 10
+    dev.on_frame(frame)
+    assert frame.delay_us is LOST
     assert dev.admission_drops == 1
     assert dev.mpdu_load == 0
 
@@ -298,27 +291,53 @@ def test_retry_exhaustion_records_lost():
     # two saturated devices on one medium with zero backoff collide forever
     sim = Simulator(seed=1)
     medium = Medium(sim, phy.LinkSpec(5.2, 80), 0)
-    col_a, col_b = DictCollector(), DictCollector()
-    dev_a = MldDevice(sim, 0, "sl", col_a)
-    dev_b = MldDevice(sim, 1, "sl", col_b)
+    dev_a = MldDevice(sim, 0, "sl")
+    dev_b = MldDevice(sim, 1, "sl")
     for dev in (dev_a, dev_b):
         mac = LinkMac(sim, medium, dev.device, dev, rate_control="fixed", fixed_mcs=11)
         mac.backoff_rng = FixedRng([0])
         dev.add_mac(mac)
-    dev_a.on_frame(dl_frame(1500, station=1))
-    dev_b.on_frame(dl_frame(1500, station=2))
+    frame_a, frame_b = dl_frame(1500, station=1), dl_frame(1500, station=2)
+    dev_a.on_frame(frame_a)
+    dev_b.on_frame(frame_b)
     sim.run_until(1_000_000)
-    assert col_a.records[(1, "dl_video", 0)] is LOST
-    assert col_b.records[(2, "dl_video", 0)] is LOST
+    assert frame_a.delay_us is LOST
+    assert frame_b.delay_us is LOST
     assert dev_a.mpdu_load == 0 and dev_b.mpdu_load == 0
 
 
+def test_sibling_delivered_after_retry_exhaustion_keeps_frame_lost(monkeypatch):
+    recorded = []
+
+    def record(frame, delay):
+        recorded.append(frame)
+        real_record(frame, delay)
+
+    real_record = mld.record
+    monkeypatch.setattr(mld, "record", record)
+    sim, media, dev = make_device("sl", n_links=1)
+    mac = dev.macs[0]
+    frame = dl_frame(6000)  # 4 MPDUs
+    dev.on_frame(frame)
+    dev.pending[0].retries = dev.pending[1].retries = RETRY_LIMIT
+    first = dev.build_ampdu(mac)
+    assert len(first.mpdus) == 4
+    # fragments 0 and 1 exhaust their retries, 2 and 3 are requeued
+    dev.on_resolution(mac, first, [False] * 4)
+    assert frame.delay_us is LOST
+    retry = dev.build_ampdu(mac)
+    assert [m.index for m in retry.mpdus] == [2, 3]
+    dev.on_resolution(mac, retry, [True, True])  # siblings arrive after all
+    assert frame.delay_us is LOST
+    assert recorded == [frame]
+    assert dev.mpdu_load == 0
+
+
 def test_conservation_across_allocation_and_restart():
-    sim, media, dev, collector = make_device("uniform", n_links=2)
-    total = 0
-    for k in range(6):
-        dev.on_frame(dl_frame(21000, index=k, t=0))
-        total += 14
+    sim, media, dev = make_device("uniform", n_links=2)
+    frames = [dl_frame(21000, index=k, t=0) for k in range(6)]
+    for frame in frames:
+        dev.on_frame(frame)
 
     def in_system():
         q = len(dev.pending) + sum(len(m.allocated) for m in dev.macs)
@@ -331,12 +350,11 @@ def test_conservation_across_allocation_and_restart():
     sim.run_until(200_000)
     assert all(queued == load for queued, load in checks)
     assert dev.mpdu_load == 0
-    assert len(collector.records) == 6
-    assert all(v is not LOST for v in collector.records.values())
+    assert all(f.delay_us not in (LOST, UNSET) for f in frames)
 
 
 def test_on_tick_feeds_estimators_from_medium():
-    sim, media, dev, _ = make_device("congestion", n_links=2)
+    sim, media, dev = make_device("congestion", n_links=2)
     for t in range(0, 500_000, 100_000):
         sim.schedule(t, media[0].inject_busy, 40_000)  # 40% duty on link 0
     sim.schedule(500_000, dev.on_tick)

@@ -155,7 +155,7 @@ def test_failing_mcs_avoided_when_alternative_succeeds():
 
 
 def test_estimate_uses_exactly_last_window():
-    sel = RateSelector(80, window=25)
+    sel = RateSelector(80)
     for _ in range(25):
         sel.record(4, 0.0)
     for _ in range(25):
@@ -167,7 +167,7 @@ def test_estimate_uses_exactly_last_window():
 
 def test_estimate_replay_matches_recorded_sequence():
     rng = rng_stream(7, "replay")
-    sel = RateSelector(160, window=25)
+    sel = RateSelector(160)
     outcomes = [rng.random() for _ in range(40)]
     for x in outcomes:
         sel.record(9, x)

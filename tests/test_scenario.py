@@ -149,11 +149,11 @@ def test_mlo_wiring_counts():
 def test_snr_symmetry_and_coverage():
     cfg = cfg_with(n_sta=3)
     exp = Experiment(cfg, seed=2)
-    ap = exp.devices[0]
-    for sta in (1, 2, 3):
-        for j in range(2):
-            assert ap.snr_map[(sta, j)] == exp.devices[sta].snr_map[(0, j)]
-            assert ap.snr_map[(sta, j)] > 25  # in-cell stations decode high MCS
+    for medium in exp.media:
+        ap = medium.macs[0]
+        for sta in (1, 2, 3):
+            assert ap.snr_db[sta] == medium.macs[sta].snr_db[0]
+            assert ap.snr_db[sta] > 25  # in-cell stations decode high MCS
 
 
 def test_frames_phase_shifted_by_activation():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlosim.stats import (
-    DelayCollector,
+    LOST,
     DelayRecord,
     all_pass,
     evaluate,
@@ -12,11 +12,13 @@ from mlosim.stats import (
     format_ccdf,
     format_records,
     format_summary,
+    frame_rows,
     parse_records,
     percentile,
+    record,
     verdict,
 )
-from mlosim.traffic import AppFrame, default_stream_set
+from mlosim.traffic import UNSET, AppFrame, default_stream_set
 
 
 def rec(station, stream, idx, delay, seed=1):
@@ -173,7 +175,7 @@ def test_ccdf_consistent_with_verdict_at_pdb():
     assert v.passed == (ccdf_at_pdb <= 0.01)
 
 
-# -- collector and formats --------------------------------------------------
+# -- frame outcomes and formats ------------------------------------------------
 
 def frame(station, kind_index=0, index=0):
     return AppFrame(stream=default_stream_set()[kind_index], station=station,
@@ -181,22 +183,28 @@ def frame(station, kind_index=0, index=0):
 
 
 def test_collector_guards_double_record():
-    c = DelayCollector()
     f = frame(1)
-    c.record(f, 1000)
-    assert c.has(f)
-    with pytest.raises(RuntimeError):
-        c.record(f, 2000)
+    assert f.delay_us == UNSET
+    record(f, 1000)
+    assert f.delay_us == 1000
+    with pytest.raises(RuntimeError, match="recorded twice"):
+        record(f, 2000)
+    lost = frame(2)
+    record(lost, LOST)
+    with pytest.raises(RuntimeError, match="recorded twice"):
+        record(lost, LOST)
+    assert (f.delay_us, lost.delay_us) == (1000, LOST)
 
 
 def test_collector_rows_sorted_and_tagged():
-    c = DelayCollector()
-    c.record(frame(2, 0, 1), 5)
-    c.record(frame(1, 2, 0), None)
-    c.record(frame(1, 0, 0), 7)
-    rows = c.rows(seed=9)
-    assert [(r.station, r.stream, r.frame_index) for r in rows] == [
-        (1, "dl_video", 0), (1, "pose", 0), (2, "dl_video", 1)]
+    frames = [frame(2, 0, 1), frame(1, 2, 0), frame(1, 0, 0), frame(1, 1, 4)]
+    record(frames[0], 5)
+    record(frames[1], LOST)
+    record(frames[2], 7)  # frames[3] never gets an outcome
+    rows = frame_rows(frames, seed=9)
+    assert [(r.station, r.stream, r.frame_index, r.delay_us) for r in rows] == [
+        (1, "dl_video", 0, 7), (1, "pose", 0, None), (1, "ul_video", 4, None),
+        (2, "dl_video", 1, 5)]
     assert all(r.seed == 9 for r in rows)
 
 

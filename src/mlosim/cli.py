@@ -112,7 +112,7 @@ def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
         streams_of(cfg)  # validates traffic overrides end to end
     except ConfigError:
         raise
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(str(e))
     return cfg
 

@@ -3,6 +3,12 @@
 All simulation timestamps are non-negative integer microseconds.  Events with
 equal fire times dispatch in insertion order, so a run is fully reproducible.
 
+Each event is a single heap entry, the list [fire_at, seq, fn, args], and
+that entry is also the opaque handle schedule returns for cancel.  seq is
+unique, so heap order is decided by the two integers alone and fn is never
+compared.  Dispatch and cancel both clear fn and args: an entry whose fn is
+None is inert, and it holds no reference to its arguments.
+
 RNG substreams are addressed by (seed, label) so that e.g. traffic draws stay
 identical across runs that only differ in MAC-level event interleaving.
 Labels used by the simulator:
@@ -21,8 +27,6 @@ import random
 
 US_PER_SEC = 1_000_000
 
-_PENDING, _FIRED, _CANCELLED = 0, 1, 2
-
 
 class SimulationError(Exception):
     """Fatal inconsistency in the event machinery (indicates a logic bug)."""
@@ -36,24 +40,6 @@ def rng_stream(seed, label) -> random.Random:
     """
     digest = hashlib.sha256(f"{seed}/{label}".encode()).digest()
     return random.Random(int.from_bytes(digest, "big"))
-
-
-class EventHandle:
-    """Queue entry; keep a reference to cancel the event later.
-
-    The heap itself stores (fire_at, seq, handle) tuples so ordering is
-    decided by integer comparison alone; seq breaks ties by insertion order
-    and guarantees the handle is never compared.
-    """
-
-    __slots__ = ("fire_at", "seq", "fn", "args", "state")
-
-    def __init__(self, fire_at, seq, fn, args):
-        self.fire_at = fire_at
-        self.seq = seq
-        self.fn = fn
-        self.args = args
-        self.state = _PENDING
 
 
 class Simulator:
@@ -78,21 +64,23 @@ class Simulator:
         return s
 
     def schedule(self, at, fn, *args):
-        """Enqueue fn(*args) to run at absolute time `at` (µs)."""
+        """Enqueue fn(*args) to run at absolute time `at` (µs).
+
+        Returns the event's heap entry, the handle to pass to cancel.
+        """
         if at < self.now:
             raise SimulationError(f"schedule at t={at} before clock t={self.now}")
-        h = EventHandle(at, self._seq, fn, args)
-        heapq.heappush(self._heap, (at, self._seq, h))
+        entry = [at, self._seq, fn, args]
+        heapq.heappush(self._heap, entry)
         self._seq += 1
-        return h
+        return entry
 
     def cancel(self, handle):
         """Make a pending event inert.  True if it was still pending."""
-        if handle.state == _PENDING:
-            handle.state = _CANCELLED
-            handle.fn = handle.args = None
-            return True
-        return False
+        if handle[2] is None:
+            return False
+        handle[2] = handle[3] = None
+        return True
 
     def run_until(self, end):
         """Dispatch every event with fire_at <= end in order; clock ends at `end`.
@@ -103,13 +91,12 @@ class Simulator:
         pop = heapq.heappop
         count = 0
         while heap and heap[0][0] <= end:
-            fire_at, _, h = pop(heap)
-            if h.state != _PENDING:
+            entry = pop(heap)
+            fire_at, _, fn, args = entry
+            if fn is None:
                 continue
-            h.state = _FIRED
+            entry[2] = entry[3] = None
             self.now = fire_at
-            fn, args = h.fn, h.args
-            h.fn = h.args = None
             fn(*args)
             count += 1
         self.now = end

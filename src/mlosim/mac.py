@@ -56,9 +56,7 @@ def mpdu_dest(mpdu: Mpdu) -> int:
 class Ampdu:
     mpdus: list
     duration_us: int
-    src: int
     dst: int
-    link_index: int
     mcs: phy.McsEntry
 
 
@@ -277,9 +275,10 @@ class LinkMac:
     def on_medium_busy(self, busy_start: int):
         if self.grant is None:
             return
-        if self.grant.fire_at <= busy_start:
-            # our own grant fires this same microsecond: simultaneous
-            # access, let it collide
+        if self.difs_end + self.backoff * SLOT_US <= busy_start:
+            # our own grant, armed for this instant (neither term changes
+            # while it is pending), fires this same microsecond:
+            # simultaneous access, let it collide
             return
         self.sim.cancel(self.grant)
         self.grant = None

@@ -190,9 +190,8 @@ class MldDevice:
             self._seq += 1
         self.mpdu_load += len(mpdus)
         frame.mpdus_left = len(mpdus)
-        was_empty = not self.pending
         self.pending.extend(mpdus)
-        if self.shares and was_empty:
+        if self.shares:
             self._run_policy()
         self._kick_macs()
 
@@ -230,7 +229,7 @@ class MldDevice:
                 if mc is not mac:
                     mc.abort_contention()
         duration = tx_duration(sum(m.payload for m in mpdus), mcs, mac.bandwidth)
-        return Ampdu(mpdus, duration, self.device, dest, mac.link_index, mcs)
+        return Ampdu(mpdus, duration, dest, mcs)
 
     def on_resolution(self, mac: LinkMac, ampdu: Ampdu, bitmap):
         now = self.sim.now

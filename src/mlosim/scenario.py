@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import mld, phy
 from .engine import US_PER_SEC, Simulator, rng_stream
@@ -87,6 +87,11 @@ class ScenarioConfig:
     fixed_mcs: int = 7
 
     def validate(self):
+        for f in fields(self):
+            if f.type == "int" and type(getattr(self, f.name)) is not int:
+                raise ValueError(f"{f.name} must be an integer")
+        if not all(type(s) is int for s in self.seeds):
+            raise ValueError("seeds must be integers")
         policy = mld.canonical_policy(self.policy)
         if self.n_sta < 1:
             raise ValueError("n_sta must be at least 1")
@@ -106,6 +111,9 @@ class ScenarioConfig:
             raise ValueError("fixed_mcs out of range")
         if self.sim_duration_s <= 0 or self.activation_window_s < 0:
             raise ValueError("durations must be positive")
+        for name in ("sim_duration_s", "update_period_s"):
+            if not math.isfinite(getattr(self, name) * US_PER_SEC):
+                raise ValueError(f"{name} out of range")
         if self.sim_duration_s <= self.activation_window_s:
             raise ValueError("sim_duration_s must exceed activation_window_s")
         if self.update_period_us < 1:

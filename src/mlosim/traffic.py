@@ -16,8 +16,6 @@ import math
 import random
 from dataclasses import dataclass
 
-US_PER_MS = 1000
-
 MPDU_PAYLOAD = 1500  # bytes
 
 DL_VIDEO = "dl_video"
@@ -55,7 +53,6 @@ class StreamConfig:
     data_rate_mbps: float
     frame_rate: float
     jitter_model: TruncGaussModel | None = None  # in microseconds
-    success_rate: float = 0.99
 
     def __post_init__(self):
         if self.kind not in TRAFFIC_KINDS:
@@ -64,6 +61,10 @@ class StreamConfig:
             raise ValueError("jitter applies to DL video only")
         if self.pdb_us <= 0:
             raise ValueError("pdb must be positive")
+        if self.periodicity_us < 1:
+            raise ValueError("periodicity_us must be at least 1")
+        if self.data_rate_mbps <= 0:
+            raise ValueError("data_rate_mbps must be positive")
         if isinstance(self.size_model, TruncGaussModel):
             nominal = self.size_model.mean * 8 * self.frame_rate / 1e6
             if abs(nominal - self.data_rate_mbps) / self.data_rate_mbps > 0.02:

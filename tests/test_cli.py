@@ -70,11 +70,13 @@ def test_run_names_unknown_key(tmp_path, capsys):
 
 
 def test_run_names_unknown_traffic_field(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "run",
-                      {**TINY, "traffic": {"dl_video": {"pdb": 5000}}})
-    assert code == 1
-    err = capsys.readouterr().err
-    assert "'pdb'" in err and "dl_video" in err
+    # success_rate is not a stream field: stats.verdict holds the one 0.99
+    for field, value in (("pdb", 5000), ("success_rate", 0.99)):
+        code, _ = run_cli(tmp_path, "run",
+                          {**TINY, "traffic": {"dl_video": {field: value}}})
+        assert code == 1
+        err = capsys.readouterr().err
+        assert f"'{field}'" in err and "dl_video" in err
 
 
 @pytest.mark.parametrize("key,value", [
@@ -84,10 +86,29 @@ def test_run_names_unknown_traffic_field(tmp_path, capsys):
     ("ma_window", 0),
     ("ma_window", -1),
     ("buffer_cap", 0),
+    ("n_sta", 2.5),  # integer fields: a run would fail inside deque/MCS_TABLE
+    ("buffer_cap", 2.5),
+    ("ma_window", 2.5),
+    ("fixed_mcs", 2.5),
+    ("seeds", [1.5]),
+    ("update_period_s", 1e308),  # overflows integer microseconds
+    ("sim_duration_s", 1e308),
 ])
 def test_resolve_config_rejects_out_of_range_knobs(key, value):
     with pytest.raises(cli.ConfigError, match=key):
         cli.resolve_config({**TINY, key: value})
+
+
+@pytest.mark.parametrize("kind,field,value", [
+    ("pose", "periodicity_us", 0),  # generate_frames would never end
+    ("pose", "periodicity_us", -4000),
+    ("pose", "data_rate_mbps", 0),
+    ("dl_video", "data_rate_mbps", 0),
+])
+def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
+    # resolution only: a run with such a stream would exhaust memory
+    with pytest.raises(cli.ConfigError, match=field):
+        cli.resolve_config({**TINY, "traffic": {kind: {field: value}}})
 
 
 def test_seeds_flag_overrides_config(tmp_path):

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -88,6 +91,33 @@ def test_cancel_after_dispatch_returns_false():
     sim = Simulator()
     h = sim.schedule(10, lambda: None)
     sim.run_until(10)
+    assert sim.cancel(h) is False
+
+
+class Payload:
+    pass
+
+
+def test_cancelled_event_releases_its_arguments():
+    sim = Simulator()
+    arg = Payload()
+    ref = weakref.ref(arg)
+    h = sim.schedule(10, lambda p: None, arg)
+    del arg
+    assert sim.cancel(h) is True  # the entry stays in the heap until popped
+    gc.collect()
+    assert ref() is None
+
+
+def test_dispatched_event_releases_its_arguments():
+    sim = Simulator()
+    arg = Payload()
+    ref = weakref.ref(arg)
+    h = sim.schedule(10, lambda p: None, arg)  # the caller keeps the handle
+    del arg
+    sim.run_until(10)
+    gc.collect()
+    assert ref() is None
     assert sim.cancel(h) is False
 
 

@@ -54,7 +54,7 @@ class StubOwner:
         mpdus = aggregate(self.queue, mcs, mac.bandwidth)
         del self.queue[:len(mpdus)]
         dur = phy.tx_duration(sum(m.payload for m in mpdus), mcs, mac.bandwidth)
-        return Ampdu(mpdus, dur, mac.device, mpdu_dest(mpdus[0]), mac.link_index, mcs)
+        return Ampdu(mpdus, dur, mpdu_dest(mpdus[0]), mcs)
 
     def on_resolution(self, mac, ampdu, bitmap):
         self.resolutions.append((self.sim.now, ampdu, bitmap))
@@ -245,7 +245,7 @@ def test_same_slot_grants_collide_and_double_cw():
 
 def test_beb_ladder_caps_at_cw_max():
     sim, medium, (mac,), (owner,) = setup_link()
-    ampdu = Ampdu(make_mpdus(1500), 100, 1, 0, 0, MCS11_80)
+    ampdu = Ampdu(make_mpdus(1500), 100, 0, MCS11_80)
     seen = []
     for _ in range(8):
         mac._on_timeout(ampdu)

@@ -20,8 +20,9 @@ from pathlib import Path
 from . import __version__, mld
 from .scenario import (ScenarioConfig, equivalent_single_link, expand_links,
                        links_label, run_seeds, streams_of)
-from .stats import (capacity_search, evaluate, export_ccdf, format_capacity,
-                    format_ccdf, format_delay, format_records, format_summary)
+from .stats import (CapacityResult, all_pass, evaluate, export_ccdf,
+                    format_capacity, format_ccdf, format_delay, format_records,
+                    format_summary)
 from .traffic import TRAFFIC_KINDS, StreamConfig
 
 log = logging.getLogger(__name__)
@@ -63,7 +64,7 @@ def _check_keys(raw: dict, allowed) -> None:
 def _check_traffic(overrides: dict) -> dict:
     if not isinstance(overrides, dict):
         raise ConfigError("config key 'traffic' must be an object")
-    known = set(StreamConfig.__dataclass_fields__)
+    known = set(StreamConfig.__dataclass_fields__) - {"kind"}  # the key names it
     for kind, repl in overrides.items():
         if kind == "enabled":
             if not isinstance(repl, list):
@@ -175,7 +176,7 @@ def cmd_run(args) -> int:
 def cmd_capacity(args) -> int:
     raw = load_config(args.config)
     max_n = raw.get("max_sta", 64)
-    if not isinstance(max_n, int) or max_n < 1:
+    if type(max_n) is not int or max_n < 1:
         raise ConfigError("config key 'max_sta' must be a positive integer")
     cfg = resolve_config(raw, seeds=args.seeds, extra_keys=CAPACITY_KEYS)
     out_dir = Path(args.out)
@@ -196,6 +197,33 @@ def cmd_capacity(args) -> int:
     if result.max_sta == 0:
         print("warning: capacity is 0, a single station already fails")
     return EXIT_OK
+
+
+def capacity_search(base_cfg: ScenarioConfig, max_n: int = 64,
+                    workers: int = 1) -> CapacityResult:
+    """Raise n_sta from 1 until a stream verdict fails; previous n is the
+    capacity.  Stops early on the first failure (loads only grow with n).
+    """
+    per_n = []
+    max_sta = 0
+    n = 1
+    while n <= max_n:
+        cfg = replace(base_cfg, n_sta=n)
+        verdicts = evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
+        ok = all_pass(verdicts)
+        per_n.append((n, verdicts, ok))
+        log.info("capacity probe policy=%s n=%d -> %s", base_cfg.policy, n,
+                 "pass" if ok else "fail")
+        if not ok:
+            break
+        max_sta = n
+        n += 1
+    else:
+        log.warning("capacity sweep hit max_n=%d without failing", max_n)
+    if max_sta == 0:
+        log.warning("capacity 0: n=1 already fails for policy=%s", base_cfg.policy)
+    return CapacityResult(base_cfg.policy, links_label(base_cfg.links),
+                          max_sta, per_n)
 
 
 def _sweep_cell(base_cfg: ScenarioConfig, policy: str, links, n: int,
@@ -224,8 +252,8 @@ def cmd_sweep(args) -> int:
             expand_links(name)
     except ValueError as e:
         raise ConfigError(str(e))
-    if any(not isinstance(n, int) or n < 1 for n in sta_counts):
-        raise ConfigError("config key 'sta_counts' must list positive integers")
+    if any(type(n) is not int or n < 1 for n in sta_counts):
+        raise ConfigError("config key 'sta_counts' must be a list of positive integers")
     base_raw = {k: v for k, v in raw.items() if k not in SWEEP_KEYS}
     base_raw.pop("policy", None)
     base_raw.pop("links", None)

@@ -2,8 +2,10 @@
 
 One `LinkMac` instance exists per device per radio link; all MACs on a
 link share one `Medium`, which finds a PPDU's receiver among them by
-device id.  Each MAC keeps the SNR towards each of its peers and calls
-its upper MAC only through build_ampdu and on_resolution.  Contention is
+device id.  Each MAC keeps one `phy.RateSelector` per peer (add_peer),
+holding the SNR towards it; under fixed-rate control its MCS set has one
+entry.  A MAC calls its upper MAC only through build_ampdu and
+on_resolution.  Contention is
 DCF-style CSMA/CA with a single access category (CWmin 15, CWmax 1023,
 AIFS = DIFS): DIFS sensing, slotted random backoff frozen while the
 medium is busy, binary exponential backoff on acknowledgment timeout.
@@ -44,7 +46,6 @@ RETRY_LIMIT = 10
 IDLE, CONTEND, TX = "idle", "contend", "tx"
 
 AP_ID = 0
-DEFAULT_SNR_DB = 100.0  # towards a peer with no SNR set: error-free
 
 
 def mpdu_dest(mpdu: Mpdu) -> int:
@@ -209,7 +210,7 @@ class LinkMac:
     """One device's contention state machine on one link."""
 
     def __init__(self, sim, medium: Medium, device: int, owner,
-                 rate_control: str = "minstrel", fixed_mcs: int = 7):
+                 fixed_mcs: int | None = None):
         self.sim = sim
         self.medium = medium
         medium.macs[device] = self
@@ -217,12 +218,10 @@ class LinkMac:
         self.owner = owner  # upper MAC: build_ampdu() / on_resolution()
         self.link_index = medium.index
         self.bandwidth = medium.link.bandwidth_mhz
-        self.rate_control = rate_control
-        self.fixed_mcs = fixed_mcs
-        self.snr_db: dict[int, float] = {}  # by peer device id
+        self.fixed_mcs = fixed_mcs  # None: windowed selection per peer
         self.backoff_rng = sim.stream(f"mac.backoff.dev{device}.link{self.link_index}")
         self.rate_rng = sim.stream(f"phy.rate.dev{device}.link{self.link_index}")
-        self.selectors: dict[int, phy.RateSelector] = {}
+        self.peers: dict[int, phy.RateSelector] = {}  # by peer device id
         self.allocated: list[Mpdu] = []
         self.state = IDLE
         self.cw = CW_MIN
@@ -237,24 +236,15 @@ class LinkMac:
 
     # -- rate selection -----------------------------------------------
 
-    def selector_for(self, dest: int) -> phy.RateSelector:
-        sel = self.selectors.get(dest)
-        if sel is None:
-            sel = phy.RateSelector(self.bandwidth,
-                                   snr_db=self.snr_db.get(dest, DEFAULT_SNR_DB))
-            self.selectors[dest] = sel
-        return sel
+    def add_peer(self, dest: int, snr_db: float):
+        self.peers[dest] = phy.RateSelector(self.bandwidth, snr_db, self.fixed_mcs)
 
     def pick_mcs(self, dest: int) -> phy.McsEntry:
-        if self.rate_control == "fixed":
-            return phy.MCS_TABLE[self.fixed_mcs]
-        return self.selector_for(dest).select(self.rate_rng)
+        return self.peers[dest].select(self.rate_rng)
 
     def decided_rate(self, dest: int) -> float:
         """Rate (Mb/s) of the MCS the next transmission to dest would use."""
-        if self.rate_control == "fixed":
-            return phy.MCS_TABLE[self.fixed_mcs].data_rate(self.bandwidth)
-        return self.selector_for(dest).decided_rate()
+        return self.peers[dest].decided_rate()
 
     # -- contention ---------------------------------------------------
 
@@ -319,7 +309,7 @@ class LinkMac:
 
     def decode_bitmap(self, ampdu: Ampdu) -> list:
         """Per-MPDU delivery flags at the receiver, noise errors only."""
-        snr = self.snr_db.get(ampdu.dst, DEFAULT_SNR_DB)
+        snr = self.peers[ampdu.dst].snr_db
         p = phy.error_probability(ampdu.mcs, snr)
         if p <= 0.0:
             return [True] * len(ampdu.mpdus)
@@ -331,17 +321,14 @@ class LinkMac:
 
     def _on_timeout(self, ampdu: Ampdu):
         self.cw = min((self.cw + 1) * 2 - 1, CW_MAX)
-        if self.rate_control != "fixed":
-            self.selector_for(ampdu.dst).record(ampdu.mcs.index, 0.0)
+        self.peers[ampdu.dst].record(ampdu.mcs.index, 0.0)
         self.in_flight = None
         self.state = IDLE
         self.owner.on_resolution(self, ampdu, None)
 
     def on_block_ack(self, ampdu: Ampdu, bitmap: list):
         self.cw = CW_MIN
-        if self.rate_control != "fixed":
-            frac = sum(bitmap) / len(bitmap)
-            self.selector_for(ampdu.dst).record(ampdu.mcs.index, frac)
+        self.peers[ampdu.dst].record(ampdu.mcs.index, sum(bitmap) / len(bitmap))
         self.in_flight = None
         self.state = IDLE
         self.owner.on_resolution(self, ampdu, bitmap)

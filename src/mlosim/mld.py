@@ -166,7 +166,6 @@ class MldDevice:
         self.pending: list = []
         self.mpdu_load = 0
         self._seq = 0
-        self.policy_runs = 0
         self.restart_count = 0
         self.admission_drops = 0
 
@@ -205,7 +204,6 @@ class MldDevice:
                 mac.allocated.extend(self.pending[start:start + c])
                 start += c
         self.pending.clear()
-        self.policy_runs += 1
 
     def _kick_macs(self):
         for mac in self.macs:

@@ -4,7 +4,9 @@ Deterministic log-distance propagation (free space to a 5 m breakpoint,
 exponent 3.5 beyond, no fading), an 802.11 single-spatial-stream MCS
 table with exact x2 rate scaling per bandwidth doubling, a linear-ramp
 per-MPDU error model around each MCS SNR threshold, and a windowed
-exploit/probe rate selector standing in for Minstrel.
+exploit/probe rate selector standing in for Minstrel.  Fixed-rate control
+is the same selector with a one-entry MCS set: it never probes, never
+draws randomness, and keeps its MCS even where the SNR cannot carry it.
 
 The channel is intentionally simple: in-cell stations sit well above the
 top MCS thresholds, so queueing and contention, not noise, dominate
@@ -135,17 +137,25 @@ class RateSelector:
     estimate, so coverage comes from the 10% probe steps, which draw
     uniformly among the other feasible indexes.  A fresh selector exploits
     INITIAL_INDEX until it has any history.
+
+    With fixed_mcs the one feasible index is fixed_mcs, whatever snr_db
+    says, so select never draws.  snr_db also drives the MPDU error model.
     """
 
     WINDOW = 25
     PROBE_PROB = 0.1
     INITIAL_INDEX = 4
 
-    def __init__(self, bandwidth_mhz: int, snr_db: float | None = None):
+    def __init__(self, bandwidth_mhz: int, snr_db: float, fixed_mcs: int | None = None):
         self.bandwidth_mhz = bandwidth_mhz
-        limit = max_feasible_index(snr_db) if snr_db is not None else len(MCS_TABLE) - 1
-        self.feasible = list(range(limit + 1))
-        self.initial_index = min(self.INITIAL_INDEX, limit)
+        self.snr_db = snr_db
+        if fixed_mcs is None:
+            limit = max_feasible_index(snr_db)
+            self.feasible = list(range(limit + 1))
+            self.initial_index = min(self.INITIAL_INDEX, limit)
+        else:
+            self.feasible = [fixed_mcs]
+            self.initial_index = fixed_mcs
         self.windows = [deque(maxlen=self.WINDOW) for _ in MCS_TABLE]
         self._rates = [e.data_rate(bandwidth_mhz) for e in MCS_TABLE]
         self._sums = [0.0] * len(MCS_TABLE)  # running sum of each window

@@ -4,8 +4,8 @@ One AP (device 0) and n stations share every configured radio link.
 Stations are dropped uniformly over a disk around the AP and activate at
 independent uniform instants inside the activation window; each station's
 three flows are phase-aligned to its activation, which staggers frame
-arrivals across stations.  Each link MAC holds the SNR towards its peers
-on that link, set here from the station's distance to the AP.  A run
+arrivals across stations.  Each link MAC gets one rate selector per peer,
+added here with the SNR from the station's distance to the AP.  A run
 pre-generates all application frames (their randomness depends only on
 the seed and the per-stream RNG labels), schedules their buffer
 arrivals, runs the event loop to the horizon, and reads each frame's
@@ -39,6 +39,14 @@ ALLOWED_BANDWIDTH_SETS = {tuple(sorted(v)) for v in LINK_SET_SHORTHANDS.values()
 
 MIN_LINK_DISTANCE_M = 1.0  # geometry floor; propagation is near-field below
 
+# Value types each ScenarioConfig annotation accepts; a bool is no number.
+_ANNOTATION_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": ((bool,), "true or false"),
+    "str": ((str,), "a string"),
+}
+
 
 def expand_links(value) -> tuple[phy.LinkSpec, ...]:
     """Accepts a shorthand ("2x40") or a bandwidth list ([40, 40])."""
@@ -48,7 +56,9 @@ def expand_links(value) -> tuple[phy.LinkSpec, ...]:
                              f"expected one of {sorted(LINK_SET_SHORTHANDS)}")
         bws = LINK_SET_SHORTHANDS[value]
     else:
-        bws = tuple(int(b) for b in value)
+        bws = tuple(value)
+        if not all(type(b) is int for b in bws):
+            raise ValueError(f"links must list integer bandwidths, got {list(bws)}")
     if len(bws) > len(phy.CARRIERS_GHZ):
         raise ValueError("more links than available carriers")
     return tuple(phy.LinkSpec(phy.CARRIERS_GHZ[i], bw) for i, bw in enumerate(bws))
@@ -88,8 +98,9 @@ class ScenarioConfig:
 
     def validate(self):
         for f in fields(self):
-            if f.type == "int" and type(getattr(self, f.name)) is not int:
-                raise ValueError(f"{f.name} must be an integer")
+            accepted = _ANNOTATION_TYPES.get(f.type)
+            if accepted and type(getattr(self, f.name)) not in accepted[0]:
+                raise ValueError(f"{f.name} must be {accepted[1]}")
         if not all(type(s) is int for s in self.seeds):
             raise ValueError("seeds must be integers")
         policy = mld.canonical_policy(self.policy)
@@ -109,9 +120,11 @@ class ScenarioConfig:
             raise ValueError(f"unknown rate_control {self.rate_control!r}")
         if not 0 <= self.fixed_mcs < len(phy.MCS_TABLE):
             raise ValueError("fixed_mcs out of range")
-        if self.sim_duration_s <= 0 or self.activation_window_s < 0:
-            raise ValueError("durations must be positive")
-        for name in ("sim_duration_s", "update_period_s"):
+        if self.sim_duration_s <= 0:
+            raise ValueError("sim_duration_s must be positive")
+        if self.activation_window_s < 0:
+            raise ValueError("activation_window_s must not be negative")
+        for name in ("sim_duration_s", "activation_window_s", "update_period_s"):
             if not math.isfinite(getattr(self, name) * US_PER_SEC):
                 raise ValueError(f"{name} out of range")
         if self.sim_duration_s <= self.activation_window_s:
@@ -122,6 +135,8 @@ class ScenarioConfig:
             raise ValueError("ma_window must be at least 1")
         if self.buffer_cap < 1:
             raise ValueError("buffer_cap must be at least 1")
+        if not (math.isfinite(self.cell_radius_m) and self.cell_radius_m > 0):
+            raise ValueError("cell_radius_m must be finite and positive")
 
     @property
     def horizon_us(self) -> int:
@@ -179,6 +194,7 @@ class Experiment:
         self.streams = streams_of(cfg)
 
         self.media = [Medium(self.sim, link, j) for j, link in enumerate(cfg.links)]
+        fixed_mcs = cfg.fixed_mcs if cfg.rate_control == "fixed" else None
         self.devices: dict[int, mld.MldDevice] = {}
         for dev_id in range(cfg.n_sta + 1):
             device = mld.MldDevice(
@@ -186,17 +202,15 @@ class Experiment:
                 buffer_cap=cfg.buffer_cap, count_own_tx=cfg.count_own_tx,
                 update_period_us=cfg.update_period_us, ma_window=cfg.ma_window)
             for medium in self.media:
-                device.add_mac(LinkMac(
-                    self.sim, medium, dev_id, device,
-                    rate_control=cfg.rate_control, fixed_mcs=cfg.fixed_mcs))
+                device.add_mac(LinkMac(self.sim, medium, dev_id, device, fixed_mcs))
             self.devices[dev_id] = device
 
         for sta in range(1, cfg.n_sta + 1):
             dist = self.deployment.distance(sta - 1)
             for medium in self.media:
                 s = phy.snr(medium.link, dist)
-                medium.macs[AP_ID].snr_db[sta] = s
-                medium.macs[sta].snr_db[AP_ID] = s
+                medium.macs[AP_ID].add_peer(sta, s)
+                medium.macs[sta].add_peer(AP_ID, s)
 
         self.frames = self._generate_traffic()
         # arrivals are chained per stream (each event schedules its

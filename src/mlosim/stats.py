@@ -8,20 +8,17 @@ was delivered.
 
 The headline metric mirrors the evaluation procedure: per-station p99
 over seed-merged samples, worst station compared against the stream's
-delay budget, and a capacity sweep that raises the station count until a
-stream misses its budget.
+delay budget; a capacity search (in `cli`) raises the station count until
+a stream misses its budget, and its result is formatted here.
 """
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import attrgetter
 
 from .traffic import UNSET, StreamConfig
-
-log = logging.getLogger(__name__)
 
 LOST = None
 
@@ -133,35 +130,6 @@ class CapacityResult:
     links_label: str
     max_sta: int
     per_n: list  # (n, [StreamVerdict], bool)
-
-
-def capacity_search(base_cfg, max_n: int = 64, workers: int = 1) -> CapacityResult:
-    """Raise n_sta from 1 until a stream verdict fails; previous n is the
-    capacity.  Stops early on the first failure (loads only grow with n).
-    """
-    from . import scenario  # deferred: scenario pulls in the whole stack
-
-    per_n = []
-    max_sta = 0
-    n = 1
-    while n <= max_n:
-        cfg = replace(base_cfg, n_sta=n)
-        records = scenario.run_seeds(cfg, workers=workers)
-        verdicts = evaluate(records, scenario.streams_of(cfg))
-        ok = all_pass(verdicts)
-        per_n.append((n, verdicts, ok))
-        log.info("capacity probe policy=%s n=%d -> %s", base_cfg.policy, n,
-                 "pass" if ok else "fail")
-        if not ok:
-            break
-        max_sta = n
-        n += 1
-    else:
-        log.warning("capacity sweep hit max_n=%d without failing", max_n)
-    if max_sta == 0:
-        log.warning("capacity 0: n=1 already fails for policy=%s", base_cfg.policy)
-    return CapacityResult(base_cfg.policy, scenario.links_label(base_cfg.links),
-                          max_sta, per_n)
 
 
 # -- file formats ---------------------------------------------------------

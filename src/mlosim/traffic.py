@@ -59,16 +59,19 @@ class StreamConfig:
             raise ValueError(f"unknown stream kind {self.kind!r}")
         if (self.jitter_model is not None) != (self.kind == DL_VIDEO):
             raise ValueError("jitter applies to DL video only")
-        if self.pdb_us <= 0:
-            raise ValueError("pdb must be positive")
-        if self.periodicity_us < 1:
-            raise ValueError("periodicity_us must be at least 1")
+        # times live on the integer-microsecond clock, sizes in whole bytes
+        for name in ("periodicity_us", "pdb_us"):
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ValueError(f"{name} must be a positive integer")
         if self.data_rate_mbps <= 0:
             raise ValueError("data_rate_mbps must be positive")
         if isinstance(self.size_model, TruncGaussModel):
             nominal = self.size_model.mean * 8 * self.frame_rate / 1e6
             if abs(nominal - self.data_rate_mbps) / self.data_rate_mbps > 0.02:
                 raise ValueError("size model inconsistent with data rate")
+        elif type(self.size_model) is not int or self.size_model < 1:
+            raise ValueError("a fixed size_model must be a positive integer")
 
     @property
     def downlink(self):

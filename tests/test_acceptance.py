@@ -26,7 +26,7 @@ from mlosim.engine import Simulator, rng_stream
 from mlosim.mac import BLOCK_ACK_US, DIFS_US, SIFS_US, SLOT_US, LinkMac, Medium
 from mlosim.mld import LOST, MldDevice, split_uniform, split_weighted
 from mlosim.scenario import ScenarioConfig, expand_links, run_one, run_seeds, streams_of
-from mlosim.stats import all_pass, capacity_search, evaluate
+from mlosim.stats import all_pass, evaluate
 from mlosim.traffic import (UNSET, AppFrame, default_stream_set, sample_frame_size,
                              sample_trunc_gauss)
 
@@ -54,7 +54,8 @@ def make_device(policy, n_links=2):
     media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 80), j) for j in range(n_links)]
     dev = MldDevice(sim, 0, policy)
     for med in media:
-        mac = LinkMac(sim, med, 0, dev, rate_control="fixed", fixed_mcs=11)
+        mac = LinkMac(sim, med, 0, dev, fixed_mcs=11)
+        mac.add_peer(1, 100.0)  # the one station the scripted frames go to
         mac.backoff_rng = FixedRng([0])
         dev.add_mac(mac)
     return sim, media, dev
@@ -108,7 +109,7 @@ def test_criterion_3_estimator_convergence():
     sim = Simulator(seed=2)
     medium = Medium(sim, phy.LinkSpec(5.2, 80), 0)
     dev = MldDevice(sim, 0, "congestion")
-    dev.add_mac(LinkMac(sim, medium, 0, dev, rate_control="fixed", fixed_mcs=11))
+    dev.add_mac(LinkMac(sim, medium, 0, dev, fixed_mcs=11))
     for k in range(10):  # one 200 ms foreign pulse per 500 ms period
         sim.schedule(k * 500_000, medium.inject_busy, 200_000)
         sim.schedule((k + 1) * 500_000, dev.on_tick)
@@ -177,7 +178,7 @@ def sweep():
     searches = {}
     for policy, links in (("uniform", "2x40"), ("congestion", "2x40"),
                           ("condition", "2x40"), ("sl", "80"), ("sl", "160")):
-        searches[(policy, links)] = capacity_search(
+        searches[(policy, links)] = cli.capacity_search(
             config(policy, links), max_n=30, workers=workers)
 
     def probe(policy, links, n):

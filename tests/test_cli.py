@@ -93,6 +93,17 @@ def test_run_names_unknown_traffic_field(tmp_path, capsys):
     ("seeds", [1.5]),
     ("update_period_s", 1e308),  # overflows integer microseconds
     ("sim_duration_s", 1e308),
+    ("count_own_tx", "no"),  # a truthy string would count own airtime
+    ("cell_radius_m", "x"),  # every field is checked against its annotation
+    ("cell_radius_m", -5.0),
+    ("cell_radius_m", 0),
+    ("cell_radius_m", float("inf")),
+    ("activation_window_s", "x"),
+    ("activation_window_s", -1),
+    ("sim_duration_s", -1),
+    ("activation_window_s", float("nan")),
+    ("sim_duration_s", True),  # a bool is no number
+    ("links", [40.7, 40]),  # was truncated to 2x40
 ])
 def test_resolve_config_rejects_out_of_range_knobs(key, value):
     with pytest.raises(cli.ConfigError, match=key):
@@ -104,6 +115,10 @@ def test_resolve_config_rejects_out_of_range_knobs(key, value):
     ("pose", "periodicity_us", -4000),
     ("pose", "data_rate_mbps", 0),
     ("dl_video", "data_rate_mbps", 0),
+    ("pose", "periodicity_us", 4000.5),  # off the integer-microsecond clock
+    ("pose", "pdb_us", 2.5),
+    ("pose", "size_model", 100.7),
+    ("ul_video", "kind", "pose"),  # would run two pose streams, no ul_video
 ])
 def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
     # resolution only: a run with such a stream would exhaust memory
@@ -178,6 +193,13 @@ def test_capacity_outputs(tmp_path, capsys):
     assert "max_sta=2" in capsys.readouterr().out
 
 
+def test_capacity_rejects_bool_max_sta(tmp_path, capsys):
+    # true is no station count: it would run a one-probe search
+    code, _ = run_cli(tmp_path, "capacity", {**TINY, "max_sta": True})
+    assert code == 1
+    assert "'max_sta'" in capsys.readouterr().err
+
+
 def test_capacity_zero_warns(tmp_path, capsys):
     cfg = {"sim_duration_s": 2.0, "activation_window_s": 0.1, "seeds": [1],
            "max_sta": 2, "traffic": {"dl_video": {"pdb_us": 50}}}
@@ -222,6 +244,7 @@ def test_sweep_rejects_bad_policy(tmp_path, capsys):
     {"sta_counts": 5},
     {"policies": "greedy", "sta_counts": [1]},
     {"link_sets": "2x40", "sta_counts": [1]},
+    {"sta_counts": [True]},  # a bool is no station count
 ])
 def test_sweep_requires_list_keys(tmp_path, capsys, bad):
     code, _ = run_cli(tmp_path, "sweep", bad)

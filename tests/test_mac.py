@@ -66,7 +66,10 @@ def setup_link(n_macs=1, bw=80):
     macs, owners = [], []
     for d in range(1, n_macs + 1):
         owner = StubOwner(sim)
-        mac = LinkMac(sim, medium, d, owner, rate_control="fixed", fixed_mcs=11)
+        mac = LinkMac(sim, medium, d, owner, fixed_mcs=11)
+        for peer in range(n_macs + 1):  # the AP (0) and every other MAC
+            if peer != d:
+                mac.add_peer(peer, 100.0)
         owners.append(owner)
         macs.append(mac)
     return sim, medium, macs, owners

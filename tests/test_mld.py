@@ -36,12 +36,14 @@ def dl_frame(size, station=1, index=0, t=0):
                     gen_time=t, arrival_time=t, size=size)
 
 
-def make_device(policy, n_links=2, fixed_mcs=11, backoffs=(0,), **kwargs):
+def make_device(policy, n_links=2, link_mcs=None, backoffs=(0,), **kwargs):
+    """link_mcs: the fixed MCS of each link, default 11 on every link."""
     sim = Simulator(seed=3)
     media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 80), j) for j in range(n_links)]
     dev = MldDevice(sim, 0, policy, **kwargs)
-    for med in media:
-        mac = LinkMac(sim, med, 0, dev, rate_control="fixed", fixed_mcs=fixed_mcs)
+    for j, med in enumerate(media):
+        mac = LinkMac(sim, med, 0, dev, fixed_mcs=link_mcs[j] if link_mcs else 11)
+        mac.add_peer(1, 100.0)  # dl_frame's default station
         mac.backoff_rng = FixedRng(backoffs)
         dev.add_mac(mac)
     return sim, media, dev
@@ -203,9 +205,8 @@ def test_congestion_allocation_follows_free_time():
 
 
 def test_condition_allocation_weighs_data_rate():
-    sim, media, dev = make_device("condition", n_links=2)
-    dev.macs[0].fixed_mcs = 7   # 344 Mb/s at 80 MHz
-    dev.macs[1].fixed_mcs = 4   # 206.4 Mb/s
+    # MCS 7 on link 0 (344 Mb/s at 80 MHz), MCS 4 on link 1 (206.4 Mb/s)
+    sim, media, dev = make_device("condition", n_links=2, link_mcs=(7, 4))
     dev.on_frame(dl_frame(15000))  # equal free time; 10 MPDUs
     assert [len(m.allocated) for m in dev.macs] == [6, 4]
 
@@ -294,10 +295,12 @@ def test_retry_exhaustion_records_lost():
     dev_a = MldDevice(sim, 0, "sl")
     dev_b = MldDevice(sim, 1, "sl")
     for dev in (dev_a, dev_b):
-        mac = LinkMac(sim, medium, dev.device, dev, rate_control="fixed", fixed_mcs=11)
+        mac = LinkMac(sim, medium, dev.device, dev, fixed_mcs=11)
         mac.backoff_rng = FixedRng([0])
         dev.add_mac(mac)
     frame_a, frame_b = dl_frame(1500, station=1), dl_frame(1500, station=2)
+    dev_a.macs[0].add_peer(1, 100.0)
+    dev_b.macs[0].add_peer(2, 100.0)
     dev_a.on_frame(frame_a)
     dev_b.on_frame(frame_b)
     sim.run_until(1_000_000)

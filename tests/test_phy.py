@@ -130,7 +130,7 @@ def test_max_feasible_index_tracks_snr():
 
 
 def test_fresh_selector_starts_at_initial_index():
-    sel = RateSelector(80)
+    sel = RateSelector(80, 100.0)
     assert sel.peek_best() == 4
     rng = rng_stream(0, "phy.rate.dev1.link0")
     picks = {sel.select(rng).index for _ in range(200)}
@@ -139,7 +139,7 @@ def test_fresh_selector_starts_at_initial_index():
 
 
 def test_all_success_history_exploits_highest_rate():
-    sel = RateSelector(80)
+    sel = RateSelector(80, 100.0)
     for e in MCS_TABLE:
         for _ in range(5):
             sel.record(e.index, 1.0)
@@ -147,7 +147,7 @@ def test_all_success_history_exploits_highest_rate():
 
 
 def test_failing_mcs_avoided_when_alternative_succeeds():
-    sel = RateSelector(80)
+    sel = RateSelector(80, 100.0)
     for _ in range(25):
         sel.record(11, 0.0)
         sel.record(7, 1.0)
@@ -155,7 +155,7 @@ def test_failing_mcs_avoided_when_alternative_succeeds():
 
 
 def test_estimate_uses_exactly_last_window():
-    sel = RateSelector(80)
+    sel = RateSelector(80, 100.0)
     for _ in range(25):
         sel.record(4, 0.0)
     for _ in range(25):
@@ -167,7 +167,7 @@ def test_estimate_uses_exactly_last_window():
 
 def test_estimate_replay_matches_recorded_sequence():
     rng = rng_stream(7, "replay")
-    sel = RateSelector(160)
+    sel = RateSelector(160, 100.0)
     outcomes = [rng.random() for _ in range(40)]
     for x in outcomes:
         sel.record(9, x)
@@ -177,7 +177,7 @@ def test_estimate_replay_matches_recorded_sequence():
 
 
 def test_probe_fraction_near_ten_percent():
-    sel = RateSelector(80)
+    sel = RateSelector(80, 100.0)
     sel.record(4, 1.0)
     rng = rng_stream(3, "phy.rate.dev2.link1")
     n = 20_000
@@ -192,8 +192,26 @@ def test_selector_respects_feasibility_limit():
     assert all(sel.select(rng).index <= 9 for _ in range(500))
 
 
+class NoDrawRng:
+    def random(self):
+        raise AssertionError("fixed-rate selection drew randomness")
+
+    randrange = random
+
+
+@pytest.mark.parametrize("snr_db", [100.0, 20.0])  # MCS 11 infeasible at 20 dB
+def test_fixed_mcs_selector_never_draws(snr_db):
+    sel = RateSelector(80, snr_db, fixed_mcs=11)
+    assert error_probability(MCS_TABLE[11], 20.0) == 1.0
+    for outcome in (None, 0.0, 1.0, 0.0):
+        if outcome is not None:
+            sel.record(11, outcome)
+        assert sel.select(NoDrawRng()) is MCS_TABLE[11]
+        assert sel.decided_rate() == MCS_TABLE[11].data_rate(80)
+
+
 def test_decided_rate_matches_peek():
-    sel = RateSelector(40)
+    sel = RateSelector(40, 100.0)
     sel.record(6, 1.0)
     assert sel.peek_best() == 6
     assert sel.decided_rate() == pytest.approx(MCS_TABLE[6].data_rate(40))

@@ -152,8 +152,8 @@ def test_snr_symmetry_and_coverage():
     for medium in exp.media:
         ap = medium.macs[0]
         for sta in (1, 2, 3):
-            assert ap.snr_db[sta] == medium.macs[sta].snr_db[0]
-            assert ap.snr_db[sta] > 25  # in-cell stations decode high MCS
+            assert ap.peers[sta].snr_db == medium.macs[sta].peers[0].snr_db
+            assert ap.peers[sta].snr_db > 25  # in-cell stations decode high MCS
 
 
 def test_frames_phase_shifted_by_activation():

@@ -45,13 +45,6 @@ RETRY_LIMIT = 10
 
 IDLE, CONTEND, TX = "idle", "contend", "tx"
 
-AP_ID = 0
-
-
-def mpdu_dest(mpdu: Mpdu) -> int:
-    """Receiving device id: the STA for downlink traffic, the AP for uplink."""
-    return mpdu.frame.station if mpdu.frame.stream.downlink else AP_ID
-
 
 @dataclass(slots=True)
 class Ampdu:
@@ -61,25 +54,27 @@ class Ampdu:
     mcs: phy.McsEntry
 
 
-def aggregate(queue: list, mcs: phy.McsEntry, bandwidth_mhz: int) -> list:
-    """Longest sendable prefix of `queue`: <=64 MPDUs, <=5.484 ms airtime,
-    one destination (a BlockAck session is per receiver).  Never empty for
-    a non-empty queue, even if a lone MPDU overruns the airtime limit at a
-    low MCS.
+def aggregate(queue: list, mcs: phy.McsEntry, bandwidth_mhz: int) -> Ampdu:
+    """A-MPDU of the longest sendable prefix of `queue`: <=64 MPDUs,
+    <=5.484 ms airtime, one destination (a BlockAck session is per
+    receiver).  Never empty for a non-empty queue, even if a lone MPDU
+    overruns the airtime limit at a low MCS.
     """
-    dest = mpdu_dest(queue[0])
+    dest = queue[0].dst
+    rate = mcs.data_rate(bandwidth_mhz)
+    # tx_duration(p) > MAX_AMPDU_US exactly when p * 8 / rate exceeds
+    # the payload budget, since ceil(x) > L iff x > L for an integer L
+    budget_us = MAX_AMPDU_US - phy.PREAMBLE_US
     total = 0
     n = 0
     for m in queue:
-        if n == MAX_AMPDU_MPDUS:
+        if n == MAX_AMPDU_MPDUS or m.dst != dest:
             break
-        if mpdu_dest(m) != dest:
-            break
-        if n > 0 and phy.tx_duration(total + m.payload, mcs, bandwidth_mhz) > MAX_AMPDU_US:
+        if n > 0 and (total + m.payload) * 8 / rate > budget_us:
             break
         total += m.payload
         n += 1
-    return queue[:n]
+    return Ampdu(queue[:n], phy.tx_duration(total, mcs, bandwidth_mhz), dest, mcs)
 
 
 def retry_or_drop(mpdu: Mpdu) -> bool:
@@ -90,7 +85,7 @@ def retry_or_drop(mpdu: Mpdu) -> bool:
     return False
 
 
-@dataclass
+@dataclass(slots=True)
 class _Tx:
     mac: "LinkMac | None"  # None marks injected foreign occupancy
     ampdu: Ampdu | None

@@ -28,9 +28,10 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from itertools import repeat
+from operator import attrgetter
 
-from .mac import Ampdu, LinkMac, aggregate, mpdu_dest, retry_or_drop
-from .phy import tx_duration
+from .mac import Ampdu, LinkMac, aggregate, retry_or_drop
 from .stats import LOST, record
 from .traffic import AppFrame, fragment
 
@@ -70,17 +71,20 @@ def check_link_count(policy: str, n_links: int):
 
 
 class CongestionEstimate:
-    """Moving average of per-period link busy time."""
+    """Moving average of per-period link busy time.  The free time moves
+    only when a sample enters, so update computes it for every split."""
 
     def __init__(self, update_period_us: int = DEFAULT_UPDATE_PERIOD_US,
                  window: int = DEFAULT_MA_WINDOW):
         self.update_period_us = update_period_us
         self.samples = deque(maxlen=window)
+        self._free_us = max(update_period_us - self.busy_ma_us, 0.0)
 
     def update(self, period_busy_us: int):
         if not 0 <= period_busy_us <= self.update_period_us:
             raise ValueError("busy time outside the update period")
         self.samples.append(period_busy_us)
+        self._free_us = max(self.update_period_us - self.busy_ma_us, 0.0)
 
     @property
     def busy_ma_us(self) -> float:
@@ -89,7 +93,7 @@ class CongestionEstimate:
         return sum(self.samples) / len(self.samples)
 
     def free_time_us(self) -> float:
-        return max(self.update_period_us - self.busy_ma_us, 0.0)
+        return self._free_us
 
 
 def split_uniform(n: int, i: int) -> list[int]:
@@ -116,9 +120,11 @@ def split_weighted(n: int, weights: list[float]) -> list[int]:
     quotas = [n * w / total for w in weights]
     counts = [int(q) for q in quotas]
     leftover = n - sum(counts)
-    by_remainder = sorted(range(len(weights)), key=lambda j: (counts[j] - quotas[j], j))
-    for j in by_remainder[:leftover]:
-        counts[j] += 1
+    if leftover:
+        # a stable sort of the indexes keeps ties toward the lower index
+        remainders = [c - q for c, q in zip(counts, quotas)]
+        for j in sorted(range(len(weights)), key=remainders.__getitem__)[:leftover]:
+            counts[j] += 1
     return counts
 
 
@@ -131,7 +137,7 @@ def _congestion_shares(dev: "MldDevice", n: int) -> list[int]:
 
 
 def _condition_shares(dev: "MldDevice", n: int) -> list[int]:
-    dest = mpdu_dest(dev.pending[0])
+    dest = dev.pending[0].dst
     return split_weighted(n, [est.free_time_us() * mac.decided_rate(dest)
                               for est, mac in zip(dev.estimators, dev.macs)])
 
@@ -216,34 +222,34 @@ class MldDevice:
         source = mac.allocated if self.shares else self.pending
         if not source:
             return None
-        dest = mpdu_dest(source[0])
-        mcs = mac.pick_mcs(dest)
-        mpdus = aggregate(source, mcs, mac.bandwidth)
-        del source[:len(mpdus)]
+        ampdu = aggregate(source, mac.pick_mcs(source[0].dst), mac.bandwidth)
+        del source[:len(ampdu.mpdus)]
         if not source and not self.shares:
             # pool drained: siblings still counting down backoff have
             # nothing to send, stand them down until new frames arrive
             for mc in self.macs:
                 if mc is not mac:
                     mc.abort_contention()
-        duration = tx_duration(sum(m.payload for m in mpdus), mcs, mac.bandwidth)
-        return Ampdu(mpdus, duration, dest, mcs)
+        return ampdu
 
     def on_resolution(self, mac: LinkMac, ampdu: Ampdu, bitmap):
         now = self.sim.now
-        if bitmap is None:
-            delivered, failed = [], ampdu.mpdus
-        else:
-            delivered = [m for m, ok in zip(ampdu.mpdus, bitmap) if ok]
-            failed = [m for m, ok in zip(ampdu.mpdus, bitmap) if not ok]
-        for m in delivered:
-            self._deliver(m, now)
         requeue = []
-        for m in failed:
-            if retry_or_drop(m):
+        # no bitmap: the PPDU collided and timed out, every MPDU failed
+        for m, ok in zip(ampdu.mpdus, bitmap or repeat(False)):
+            frame = m.frame
+            if ok:
+                frame.mpdus_left -= 1
+                # a frame with a dropped fragment never gets here: that
+                # fragment is never delivered, so mpdus_left stays above zero
+                if not frame.mpdus_left:
+                    record(frame, now - frame.arrival_time)
+            elif retry_or_drop(m):
                 requeue.append(m)
-            else:
-                self._drop(m)
+            elif frame.delay_us is not LOST:  # siblings may have dropped already
+                record(frame, LOST)
+        # every MPDU not sent back to the pool has left the buffer
+        self.mpdu_load -= len(ampdu.mpdus) - len(requeue)
         # recall every share and merge it back into the seq-ordered pool
         for mc in self.macs:
             if mc.allocated:
@@ -251,7 +257,7 @@ class MldDevice:
                 mc.allocated = []
         if requeue:
             requeue.extend(self.pending)
-            requeue.sort(key=lambda m: m.seq)
+            requeue.sort(key=attrgetter("seq"))
             self.pending = requeue
         if self.shares:
             if self.pending:
@@ -261,23 +267,6 @@ class MldDevice:
                 if not mc.allocated:
                     mc.abort_contention()
         self._kick_macs()
-
-    # -- frame bookkeeping ---------------------------------------------------
-
-    def _deliver(self, mpdu, now: int):
-        self.mpdu_load -= 1
-        frame = mpdu.frame
-        frame.mpdus_left -= 1
-        # a frame with a dropped fragment never gets here: that fragment
-        # is never delivered, so mpdus_left stays above zero
-        if not frame.mpdus_left:
-            record(frame, now - frame.arrival_time)
-
-    def _drop(self, mpdu):
-        self.mpdu_load -= 1
-        frame = mpdu.frame
-        if frame.delay_us is not LOST:  # siblings may have dropped already
-            record(frame, LOST)
 
     # -- congestion sampling ---------------------------------------------------
 

@@ -151,24 +151,42 @@ class RateSelector:
         self.snr_db = snr_db
         if fixed_mcs is None:
             limit = max_feasible_index(snr_db)
-            self.feasible = list(range(limit + 1))
+            self.feasible = range(limit + 1)
             self.initial_index = min(self.INITIAL_INDEX, limit)
         else:
-            self.feasible = [fixed_mcs]
+            self.feasible = range(fixed_mcs, fixed_mcs + 1)
             self.initial_index = fixed_mcs
         self.windows = [deque(maxlen=self.WINDOW) for _ in MCS_TABLE]
         self._rates = [e.data_rate(bandwidth_mhz) for e in MCS_TABLE]
         self._sums = [0.0] * len(MCS_TABLE)  # running sum of each window
         self._best = self.initial_index
-        self._dirty = False
+        self._best_est = None  # estimate of _best; None until a feasible record
 
     def record(self, index: int, delivered_fraction: float):
+        """Add one outcome.  Only index's estimate moves, so the best
+        changes to index or, if the best's own estimate fell, by a rescan."""
         w = self.windows[index]
         if len(w) == w.maxlen:
             self._sums[index] -= w[0]
         w.append(delivered_fraction)
         self._sums[index] += delivered_fraction
-        self._dirty = True
+        if index not in self.feasible:
+            return
+        est = self.estimate(index)
+        best_est = self._best_est
+        if index == self._best and best_est is not None and est < best_est:
+            self._rescan()
+        elif best_est is None or est > best_est or (est == best_est and index <= self._best):
+            self._best, self._best_est = index, est
+
+    def _rescan(self):
+        best, best_est = self.initial_index, None
+        for i in self.feasible:
+            if self.windows[i]:
+                est = self.estimate(i)
+                if best_est is None or est > best_est:
+                    best, best_est = i, est
+        self._best, self._best_est = best, best_est
 
     def estimate(self, index: int) -> float:
         w = self.windows[index]
@@ -177,26 +195,17 @@ class RateSelector:
         return self._rates[index] * (self._sums[index] / len(w))
 
     def peek_best(self) -> int:
-        """Exploit choice right now; consumes no randomness."""
-        if self._dirty:
-            best, best_est = None, 0.0
-            for i in self.feasible:
-                w = self.windows[i]
-                if not w:
-                    continue
-                est = self._rates[i] * (self._sums[i] / len(w))
-                if best is None or est > best_est:
-                    best, best_est = i, est
-            self._best = self.initial_index if best is None else best
-            self._dirty = False
+        """Exploit choice right now: the feasible index with the highest
+        estimate, ties to the lower index, or initial_index while no
+        feasible index has history.  Consumes no randomness."""
         return self._best
 
     def decided_rate(self) -> float:
         """Data rate (Mb/s) of the MCS the next exploit step would use."""
-        return self._rates[self.peek_best()]
+        return self._rates[self._best]
 
     def select(self, rng) -> McsEntry:
-        best = self.peek_best()
+        best = self._best
         if len(self.feasible) > 1 and rng.random() < self.PROBE_PROB:
             alt = rng.randrange(len(self.feasible) - 1)
             if alt >= best:

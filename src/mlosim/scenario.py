@@ -21,9 +21,9 @@ from dataclasses import dataclass, field, fields
 
 from . import mld, phy
 from .engine import US_PER_SEC, Simulator, rng_stream
-from .mac import AP_ID, LinkMac, Medium
+from .mac import LinkMac, Medium
 from .stats import DelayRecord, frame_rows
-from .traffic import default_stream_set, generate_frames
+from .traffic import AP_ID, default_stream_set, generate_frames
 
 log = logging.getLogger(__name__)
 

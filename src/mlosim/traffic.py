@@ -12,7 +12,6 @@ Times are integer microseconds, sizes integer bytes.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 
@@ -24,6 +23,8 @@ POSE = "pose"
 TRAFFIC_KINDS = (DL_VIDEO, UL_VIDEO, POSE)
 
 UNSET = -1  # AppFrame.delay_us until the frame has an outcome
+
+AP_ID = 0  # device id of the access point; stations are 1..n
 
 
 @dataclass(frozen=True)
@@ -51,14 +52,13 @@ class StreamConfig:
     pdb_us: int
     size_model: TruncGaussModel | int  # int means fixed bytes
     data_rate_mbps: float
-    frame_rate: float
     jitter_model: TruncGaussModel | None = None  # in microseconds
 
     def __post_init__(self):
         if self.kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown stream kind {self.kind!r}")
-        if (self.jitter_model is not None) != (self.kind == DL_VIDEO):
-            raise ValueError("jitter applies to DL video only")
+        if isinstance(self.jitter_model, TruncGaussModel) != (self.kind == DL_VIDEO):
+            raise ValueError("jitter_model must be a TruncGaussModel on DL video, else None")
         # times live on the integer-microsecond clock, sizes in whole bytes
         for name in ("periodicity_us", "pdb_us"):
             value = getattr(self, name)
@@ -67,11 +67,16 @@ class StreamConfig:
         if self.data_rate_mbps <= 0:
             raise ValueError("data_rate_mbps must be positive")
         if isinstance(self.size_model, TruncGaussModel):
-            nominal = self.size_model.mean * 8 * self.frame_rate / 1e6
+            nominal = self.size_model.mean * 8 / self.periodicity_us  # Mb/s
             if abs(nominal - self.data_rate_mbps) / self.data_rate_mbps > 0.02:
-                raise ValueError("size model inconsistent with data rate")
+                raise ValueError(f"size_model mean every periodicity_us offers {nominal:.3g} "
+                                 f"Mb/s, inconsistent with data_rate_mbps")
         elif type(self.size_model) is not int or self.size_model < 1:
             raise ValueError("a fixed size_model must be a positive integer")
+        # arrivals are chained in frame order, so jitter must not reorder them
+        jitter = self.jitter_model
+        if jitter is not None and jitter.max - jitter.min >= self.periodicity_us:
+            raise ValueError("jitter span must be below periodicity_us")
 
     @property
     def downlink(self):
@@ -103,6 +108,7 @@ class Mpdu:
     frame: AppFrame
     index: int
     payload: int
+    dst: int  # receiving device: the station for downlink, else the AP
     retries: int = 0
     seq: int = -1  # assigned on buffer admission, orders the shared pool
 
@@ -123,7 +129,6 @@ def default_stream_set(overrides: dict | None = None) -> list[StreamConfig]:
             pdb_us=10_000,
             size_model=TruncGaussModel(mean=21000, std=2205, min=10500, max=31500),
             data_rate_mbps=10.0,
-            frame_rate=60.0,
             jitter_model=TruncGaussModel(mean=0, std=2000, min=-4000, max=4000),
         ),
         StreamConfig(
@@ -132,7 +137,6 @@ def default_stream_set(overrides: dict | None = None) -> list[StreamConfig]:
             pdb_us=30_000,
             size_model=TruncGaussModel(mean=7000, std=735, min=3500, max=10500),
             data_rate_mbps=3.3,
-            frame_rate=60.0,
         ),
         StreamConfig(
             kind=POSE,
@@ -140,7 +144,6 @@ def default_stream_set(overrides: dict | None = None) -> list[StreamConfig]:
             pdb_us=10_000,
             size_model=100,
             data_rate_mbps=0.2,
-            frame_rate=250.0,
         ),
     ]
     if not overrides:
@@ -178,13 +181,11 @@ def sample_frame_size(cfg: StreamConfig, rng: random.Random | None) -> int:
 
 def fragment(frame: AppFrame) -> list[Mpdu]:
     """Split a frame into <=1500 B MPDUs; only the last may run short."""
-    n = math.ceil(frame.size / MPDU_PAYLOAD)
-    mpdus = []
-    remaining = frame.size
-    for i in range(n):
-        payload = min(MPDU_PAYLOAD, remaining)
-        mpdus.append(Mpdu(frame=frame, index=i, payload=payload))
-        remaining -= payload
+    dst = frame.station if frame.stream.downlink else AP_ID
+    full, rest = divmod(frame.size, MPDU_PAYLOAD)
+    mpdus = [Mpdu(frame, i, MPDU_PAYLOAD, dst) for i in range(full)]
+    if rest:
+        mpdus.append(Mpdu(frame, full, rest, dst))
     return mpdus
 
 

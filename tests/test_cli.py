@@ -71,7 +71,8 @@ def test_run_names_unknown_key(tmp_path, capsys):
 
 def test_run_names_unknown_traffic_field(tmp_path, capsys):
     # success_rate is not a stream field: stats.verdict holds the one 0.99
-    for field, value in (("pdb", 5000), ("success_rate", 0.99)):
+    # frame_rate is gone: periodicity_us alone sets a stream's rate
+    for field, value in (("pdb", 5000), ("success_rate", 0.99), ("frame_rate", 60.0)):
         code, _ = run_cli(tmp_path, "run",
                           {**TINY, "traffic": {"dl_video": {field: value}}})
         assert code == 1
@@ -119,11 +120,19 @@ def test_resolve_config_rejects_out_of_range_knobs(key, value):
     ("pose", "pdb_us", 2.5),
     ("pose", "size_model", 100.7),
     ("ul_video", "kind", "pose"),  # would run two pose streams, no ul_video
+    ("dl_video", "periodicity_us", 3000),  # jitter reordered arrivals: exit 2
+    ("dl_video", "jitter_model", {"mean": 0, "std": 1, "min": -1, "max": 1}),
 ])
 def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
     # resolution only: a run with such a stream would exhaust memory
     with pytest.raises(cli.ConfigError, match=field):
         cli.resolve_config({**TINY, "traffic": {kind: {field: value}}})
+
+
+def test_stream_period_enters_rate_check():
+    # 21000 B every 8 ms offers 21 Mb/s against the declared 10 Mb/s
+    with pytest.raises(cli.ConfigError, match="inconsistent with data_rate_mbps"):
+        cli.resolve_config({**TINY, "traffic": {"dl_video": {"periodicity_us": 8000}}})
 
 
 def test_seeds_flag_overrides_config(tmp_path):

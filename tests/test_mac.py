@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from mlosim import phy
 from mlosim.engine import Simulator
@@ -8,15 +9,16 @@ from mlosim.mac import (
     CW_MAX,
     CW_MIN,
     DIFS_US,
+    MAX_AMPDU_MPDUS,
+    MAX_AMPDU_US,
     SIFS_US,
     Ampdu,
     LinkMac,
     Medium,
     aggregate,
-    mpdu_dest,
     retry_or_drop,
 )
-from mlosim.traffic import AppFrame, default_stream_set, fragment
+from mlosim.traffic import AppFrame, Mpdu, default_stream_set, fragment
 
 UL, DL = default_stream_set()[1], default_stream_set()[0]
 
@@ -50,11 +52,9 @@ class StubOwner:
         self.grant_times.append(self.sim.now)
         if not self.queue:
             return None
-        mcs = mac.pick_mcs(mpdu_dest(self.queue[0]))
-        mpdus = aggregate(self.queue, mcs, mac.bandwidth)
-        del self.queue[:len(mpdus)]
-        dur = phy.tx_duration(sum(m.payload for m in mpdus), mcs, mac.bandwidth)
-        return Ampdu(mpdus, dur, mpdu_dest(mpdus[0]), mcs)
+        ampdu = aggregate(self.queue, mac.pick_mcs(self.queue[0].dst), mac.bandwidth)
+        del self.queue[:len(ampdu.mpdus)]
+        return ampdu
 
     def on_resolution(self, mac, ampdu, bitmap):
         self.resolutions.append((self.sim.now, ampdu, bitmap))
@@ -83,7 +83,7 @@ DUR_5 = phy.tx_duration(7500, MCS11_80, 80)  # 149 us
 
 def test_aggregate_whole_dl_frame_fits():
     mpdus = make_mpdus(21000)
-    got = aggregate(mpdus, phy.MCS_TABLE[11], 80)
+    got = aggregate(mpdus, phy.MCS_TABLE[11], 80).mpdus
     assert len(got) == 14
 
 
@@ -91,13 +91,13 @@ def test_aggregate_count_limit():
     queue = []
     for k in range(3):
         queue.extend(make_mpdus(60000, index=k))  # 40 MPDUs each
-    got = aggregate(queue, phy.MCS_TABLE[11], 80)
+    got = aggregate(queue, phy.MCS_TABLE[11], 80).mpdus
     assert len(got) == 64
 
 
 def test_aggregate_duration_limit_at_low_mcs():
     queue = make_mpdus(60000)  # 40 MPDUs
-    got = aggregate(queue, phy.MCS_TABLE[0], 20)  # 8.6 Mb/s
+    got = aggregate(queue, phy.MCS_TABLE[0], 20).mpdus  # 8.6 Mb/s
     assert len(got) == 3
     assert phy.tx_duration(4500, phy.MCS_TABLE[0], 20) <= 5484
     assert phy.tx_duration(6000, phy.MCS_TABLE[0], 20) > 5484
@@ -105,20 +105,50 @@ def test_aggregate_duration_limit_at_low_mcs():
 
 def test_aggregate_never_empty():
     queue = make_mpdus(1500)
-    got = aggregate(queue, phy.MCS_TABLE[0], 20)
+    got = aggregate(queue, phy.MCS_TABLE[0], 20).mpdus
     assert len(got) == 1
 
 
 def test_aggregate_stops_at_destination_change():
     queue = make_mpdus(3000, station=1, stream=DL) + make_mpdus(3000, station=2, stream=DL)
-    got = aggregate(queue, phy.MCS_TABLE[11], 80)
+    got = aggregate(queue, phy.MCS_TABLE[11], 80).mpdus
     assert len(got) == 2
-    assert all(mpdu_dest(m) == 1 for m in got)
+    assert all(m.dst == 1 for m in got)
 
 
 def test_mpdu_dest_direction():
-    assert mpdu_dest(make_mpdus(100, station=3, stream=DL)[0]) == 3
-    assert mpdu_dest(make_mpdus(100, station=3, stream=UL)[0]) == 0
+    assert make_mpdus(100, station=3, stream=DL)[0].dst == 3
+    assert make_mpdus(100, station=3, stream=UL)[0].dst == 0
+
+
+def reference_prefix(queue, mcs, bandwidth_mhz):
+    """The A-MPDU cut with one tx_duration call per candidate MPDU."""
+    n, total = 0, 0
+    for m in queue:
+        if n == MAX_AMPDU_MPDUS or m.dst != queue[0].dst:
+            break
+        if n > 0 and phy.tx_duration(total + m.payload, mcs, bandwidth_mhz) > MAX_AMPDU_US:
+            break
+        total += m.payload
+        n += 1
+    return queue[:n]
+
+
+# 3 x 1500 + 1348 = 5848 B fills the MCS 0 / 20 MHz budget to the microsecond
+@example([(1500, 0)] * 3 + [(1348, 0), (1, 0)])
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 1500), st.sampled_from([0, 1])),
+                min_size=1, max_size=90))
+def test_aggregate_matches_tx_duration_reference(items):
+    frame = make_mpdus(100)[0].frame
+    queue = [Mpdu(frame, i, payload, dst) for i, (payload, dst) in enumerate(items)]
+    for mcs in phy.MCS_TABLE:
+        for bw in phy.BANDWIDTHS_MHZ:
+            ampdu = aggregate(queue, mcs, bw)
+            assert ampdu.mpdus == reference_prefix(queue, mcs, bw)
+            payload = sum(m.payload for m in ampdu.mpdus)
+            assert ampdu.duration_us == phy.tx_duration(payload, mcs, bw)
+            assert (ampdu.dst, ampdu.mcs) == (queue[0].dst, mcs)
 
 
 def test_retry_or_drop_limit():

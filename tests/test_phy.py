@@ -210,6 +210,35 @@ def test_fixed_mcs_selector_never_draws(snr_db):
         assert sel.decided_rate() == MCS_TABLE[11].data_rate(80)
 
 
+def rescan_best(sel):
+    """Brute force: highest estimate among feasible indexes with history,
+    ties to the lower index, initial_index while none has history."""
+    best, best_est = sel.initial_index, None
+    for i in sel.feasible:
+        if sel.windows[i] and (best_est is None or sel.estimate(i) > best_est):
+            best, best_est = i, sel.estimate(i)
+    return best
+
+
+# 17.2 x 0.5 == 8.6 x 1.0 == 34.4 x 0.25: exact ties between MCS 0, 1 and 3
+FRACTIONS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+# half the records land on three indexes, so their windows overflow
+INDEXES = st.integers(0, 11) | st.integers(0, 3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([100.0, 30.0, 20.0, 8.0]),  # feasible up to 11, 9, 6, 2
+       st.none() | st.integers(0, 11),
+       st.lists(st.tuples(INDEXES, FRACTIONS), max_size=250))
+def test_peek_best_matches_rescan_after_every_record(snr_db, fixed_mcs, records):
+    sel = RateSelector(20, snr_db, fixed_mcs)
+    assert sel.peek_best() == rescan_best(sel)
+    for index, fraction in records:
+        sel.record(index, fraction)
+        assert sel.peek_best() == rescan_best(sel)
+        assert sel.peek_best() in sel.feasible
+
+
 def test_decided_rate_matches_peek():
     sel = RateSelector(40, 100.0)
     sel.record(6, 1.0)

@@ -57,7 +57,7 @@ def test_dl_video_arrival_with_zero_jitter():
     # zero-jitter variant isolates the nominal instant
     no_jitter = TruncGaussModel(mean=0, std=0, min=0, max=0)
     cfg = StreamConfig(kind="dl_video", periodicity_us=16667, pdb_us=10_000,
-                       size_model=DL_SIZE, data_rate_mbps=10.0, frame_rate=60.0,
+                       size_model=DL_SIZE, data_rate_mbps=10.0,
                        jitter_model=no_jitter)
     frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 100_003)
     assert frames[6].arrival_time == 100_002
@@ -67,7 +67,7 @@ def test_dl_video_arrival_with_zero_jitter():
 def test_negative_jitter_at_k0_clamps_to_zero():
     always_neg = TruncGaussModel(mean=-4000, std=0, min=-4000, max=-4000)
     cfg = StreamConfig(kind="dl_video", periodicity_us=16667, pdb_us=10_000,
-                       size_model=DL_SIZE, data_rate_mbps=10.0, frame_rate=60.0,
+                       size_model=DL_SIZE, data_rate_mbps=10.0,
                        jitter_model=always_neg)
     frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 16_668)
     assert [f.arrival_time for f in frames] == [0, 16_667 - 4000]
@@ -164,14 +164,27 @@ def test_stream_config_rejects_jitter_on_ul():
     with pytest.raises(ValueError):
         StreamConfig(kind="ul_video", periodicity_us=16667, pdb_us=30_000,
                      size_model=TruncGaussModel(7000, 735, 3500, 10500),
-                     data_rate_mbps=3.3, frame_rate=60.0, jitter_model=JITTER)
+                     data_rate_mbps=3.3, jitter_model=JITTER)
 
 
 def test_stream_config_rejects_inconsistent_rate():
     with pytest.raises(ValueError):
         StreamConfig(kind="ul_video", periodicity_us=16667, pdb_us=30_000,
                      size_model=TruncGaussModel(7000, 735, 3500, 10500),
-                     data_rate_mbps=5.0, frame_rate=60.0)
+                     data_rate_mbps=5.0)
+
+
+@pytest.mark.parametrize("periodicity_us,rejected", [(8000, True), (8001, False)])
+def test_stream_config_jitter_span_below_periodicity(periodicity_us, rejected):
+    # a span of a whole period or more lets frame k+1 arrive before frame k
+    def build():
+        return StreamConfig(kind="dl_video", periodicity_us=periodicity_us, pdb_us=10_000,
+                            size_model=DL_SIZE, data_rate_mbps=21.0, jitter_model=JITTER)
+    if rejected:
+        with pytest.raises(ValueError, match="jitter span"):
+            build()
+    else:
+        assert build().periodicity_us == periodicity_us
 
 
 def test_trunc_gauss_model_validation():

@@ -1,8 +1,8 @@
 """Command-line frontend for single runs, capacity searches, and sweeps.
 
-Configs are JSON files whose keys mirror ScenarioConfig; the empty object
-{} reproduces the default setup (greedy policy, two 40 MHz links, AR
-traffic, ten seeds).  Everything is written atomically to the output
+Configs are JSON objects keyed by ScenarioConfig's field names, each
+value spelled as the field holds it; the empty object {} reproduces the
+default setup (greedy policy, two 40 MHz links, AR traffic, ten seeds).  Everything is written atomically to the output
 directory together with a manifest recording the resolved configuration,
 so any result directory can be reproduced from its own manifest.
 
@@ -14,16 +14,15 @@ import logging
 import os
 import sys
 import time
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import __version__, mld
-from .scenario import (ScenarioConfig, equivalent_single_link, expand_links,
-                       links_label, run_seeds, streams_of)
+from .scenario import (LINK_SETS, ScenarioConfig, check_choice,
+                       equivalent_single_link, run_seeds, streams_of)
 from .stats import (CapacityResult, all_pass, evaluate, export_ccdf,
                     format_capacity, format_ccdf, format_delay, format_records,
                     format_summary)
-from .traffic import TRAFFIC_KINDS, StreamConfig
 
 log = logging.getLogger(__name__)
 
@@ -31,9 +30,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_INTERNAL = 2
 
-# ScenarioConfig field -> config key, where the two names differ
-_CONFIG_KEY = {"traffic_overrides": "traffic"}
-SCENARIO_KEYS = tuple(_CONFIG_KEY.get(f.name, f.name) for f in fields(ScenarioConfig))
+SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioConfig))
 CAPACITY_KEYS = ("max_sta",)
 SWEEP_KEYS = ("policies", "link_sets", "sta_counts")
 
@@ -61,37 +58,6 @@ def _check_keys(raw: dict, allowed) -> None:
             raise ConfigError(f"unknown config key {key!r}")
 
 
-def _check_traffic(overrides: dict) -> dict:
-    if not isinstance(overrides, dict):
-        raise ConfigError("config key 'traffic' must be an object")
-    known = set(StreamConfig.__dataclass_fields__) - {"kind"}  # the key names it
-    for kind, repl in overrides.items():
-        if kind == "enabled":
-            if not isinstance(repl, list):
-                raise ConfigError("traffic key 'enabled' must be a list")
-            for k in repl:
-                if k not in TRAFFIC_KINDS:
-                    raise ConfigError(f"unknown traffic kind {k!r} in 'enabled'")
-            continue
-        if kind not in TRAFFIC_KINDS:
-            raise ConfigError(f"unknown traffic kind {kind!r}")
-        for field in repl:
-            if field not in known:
-                raise ConfigError(f"unknown traffic field {field!r} under {kind!r}")
-    return overrides
-
-
-# config values that need converting into ScenarioConfig field values
-_FROM_CONFIG = {
-    "policy": mld.canonical_policy,
-    "links": expand_links,
-    "seeds": tuple,
-    "traffic": _check_traffic,
-}
-# and back into config values, for the manifest echo
-_TO_CONFIG = {"links": links_label, "seeds": list}
-
-
 def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed config dict.
 
@@ -100,33 +66,19 @@ def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
     ones.
     """
     _check_keys(raw, SCENARIO_KEYS + tuple(extra_keys))
-    if seeds is not None:
-        raw = {**raw, "seeds": seeds}
+    seeds = raw.get("seeds", ScenarioConfig.seeds) if seeds is None else seeds
+    if not isinstance(seeds, (list, tuple)):
+        raise ConfigError("config key 'seeds' must be a list")
+    kwargs = {key: raw[key] for key in SCENARIO_KEYS if key in raw}
     try:
-        kwargs = {}
-        for f, key in zip(fields(ScenarioConfig), SCENARIO_KEYS):
-            if key in raw:
-                convert = _FROM_CONFIG.get(key)
-                kwargs[f.name] = convert(raw[key]) if convert else raw[key]
-        cfg = ScenarioConfig(**kwargs)
-        cfg.validate()
-        streams_of(cfg)  # validates traffic overrides end to end
-    except ConfigError:
-        raise
+        return ScenarioConfig(**{**kwargs, "seeds": tuple(seeds)})
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(str(e))
-    return cfg
 
 
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Resolved-config echo; resolve_config on the result yields cfg back."""
-    out = {}
-    for f, key in zip(fields(cfg), SCENARIO_KEYS):
-        value = getattr(cfg, f.name)
-        if value is not None:
-            convert = _TO_CONFIG.get(key)
-            out[key] = convert(value) if convert else value
-    return out
+    return {key: value for key, value in asdict(cfg).items() if value is not None}
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -192,7 +144,7 @@ def cmd_capacity(args) -> int:
     write_atomic(out_dir / "per_n.csv", "\n".join(lines) + "\n")
     write_manifest(out_dir, "capacity", args.config, config_to_dict(cfg),
                    time.perf_counter() - t0)
-    print(f"policy={result.policy} links={result.links_label} "
+    print(f"policy={result.policy} links={result.links} "
           f"max_sta={result.max_sta}")
     if result.max_sta == 0:
         print("warning: capacity is 0, a single station already fails")
@@ -222,18 +174,15 @@ def capacity_search(base_cfg: ScenarioConfig, max_n: int = 64,
         log.warning("capacity sweep hit max_n=%d without failing", max_n)
     if max_sta == 0:
         log.warning("capacity 0: n=1 already fails for policy=%s", base_cfg.policy)
-    return CapacityResult(base_cfg.policy, links_label(base_cfg.links),
-                          max_sta, per_n)
+    return CapacityResult(base_cfg.policy, base_cfg.links, max_sta, per_n)
 
 
-def _sweep_cell(base_cfg: ScenarioConfig, policy: str, links, n: int,
+def _sweep_cell(base_cfg: ScenarioConfig, policy: str, links: str, n: int,
                 workers: int):
-    if policy == mld.SL and len(links) > 1:
+    if policy == mld.SL:
         links = equivalent_single_link(links)
     cfg = replace(base_cfg, policy=policy, links=links, n_sta=n)
-    cfg.validate()
-    rows = run_seeds(cfg, workers=workers)
-    return links_label(links), evaluate(rows, streams_of(cfg))
+    return links, evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
 
 
 def cmd_sweep(args) -> int:
@@ -247,9 +196,10 @@ def cmd_sweep(args) -> int:
     if not sta_counts:
         raise ConfigError("sweep config requires key 'sta_counts'")
     try:
-        policies = [mld.canonical_policy(p) for p in policies]
-        for name in link_sets:
-            expand_links(name)
+        for key, names, table in (("policies", policies, mld.POLICIES),
+                                  ("link_sets", link_sets, LINK_SETS)):
+            for name in names:
+                check_choice(f"each of config key {key!r}", name, table)
     except ValueError as e:
         raise ConfigError(str(e))
     if any(type(n) is not int or n < 1 for n in sta_counts):
@@ -270,10 +220,9 @@ def cmd_sweep(args) -> int:
     failures = 0
     for policy in policies:
         for link_name in link_sets:
-            links = expand_links(link_name)
             for n in sta_counts:
                 try:
-                    label, verdicts = _sweep_cell(base_cfg, policy, links, n,
+                    label, verdicts = _sweep_cell(base_cfg, policy, link_name, n,
                                                   args.workers)
                     by_kind = {v.stream: v for v in verdicts}
                     cells = [format_delay(by_kind[k].worst_p99_us) for k in kinds]

@@ -44,22 +44,9 @@ CONGESTION = "congestion"
 CONDITION = "condition"
 POLICIES = (SL, GREEDY, UNIFORM, CONGESTION, CONDITION)
 
-POLICY_ALIASES = {
-    "single_link": SL,
-    "congestion_aware": CONGESTION,
-    "condition_aware": CONDITION,
-}
-
 DEFAULT_BUFFER_CAP = 2048
 DEFAULT_UPDATE_PERIOD_US = 500_000
 DEFAULT_MA_WINDOW = 10
-
-
-def canonical_policy(name: str) -> str:
-    policy = POLICY_ALIASES.get(name, name)
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {name!r}; expected one of {POLICIES}")
-    return policy
 
 
 def check_link_count(policy: str, n_links: int):
@@ -161,7 +148,7 @@ class MldDevice:
                  ma_window: int = DEFAULT_MA_WINDOW):
         self.sim = sim
         self.device = device
-        self.shares = SHARE_RULES.get(canonical_policy(policy))
+        self.shares = SHARE_RULES.get(policy)
         self.buffer_cap = buffer_cap
         self.count_own_tx = count_own_tx
         self.update_period_us = update_period_us

@@ -17,25 +17,24 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from . import mld, phy
 from .engine import US_PER_SEC, Simulator, rng_stream
 from .mac import LinkMac, Medium
 from .stats import DelayRecord, frame_rows
-from .traffic import AP_ID, default_stream_set, generate_frames
+from .traffic import (AP_ID, TRAFFIC_KINDS, StreamConfig, default_stream_set,
+                      generate_frames)
 
 log = logging.getLogger(__name__)
 
-LINK_SET_SHORTHANDS = {
+LINK_SETS = {
     "80": (80,),
     "160": (160,),
     "2x40": (40, 40),
     "4x20": (20, 20, 20, 20),
     "2x80": (80, 80),
 }
-
-ALLOWED_BANDWIDTH_SETS = {tuple(sorted(v)) for v in LINK_SET_SHORTHANDS.values()}
 
 MIN_LINK_DISTANCE_M = 1.0  # geometry floor; propagation is near-field below
 
@@ -48,47 +47,34 @@ _ANNOTATION_TYPES = {
 }
 
 
-def expand_links(value) -> tuple[phy.LinkSpec, ...]:
-    """Accepts a shorthand ("2x40") or a bandwidth list ([40, 40])."""
-    if isinstance(value, str):
-        if value not in LINK_SET_SHORTHANDS:
-            raise ValueError(f"unknown link set {value!r}; "
-                             f"expected one of {sorted(LINK_SET_SHORTHANDS)}")
-        bws = LINK_SET_SHORTHANDS[value]
-    else:
-        bws = tuple(value)
-        if not all(type(b) is int for b in bws):
-            raise ValueError(f"links must list integer bandwidths, got {list(bws)}")
-    if len(bws) > len(phy.CARRIERS_GHZ):
-        raise ValueError("more links than available carriers")
-    return tuple(phy.LinkSpec(phy.CARRIERS_GHZ[i], bw) for i, bw in enumerate(bws))
+def check_choice(key: str, value, choices) -> None:
+    """Raise ValueError naming key unless value is one of the choices."""
+    if type(value) is not str or value not in choices:
+        raise ValueError(f"{key} must be one of {', '.join(choices)}; got {value!r}")
 
 
-def links_label(links) -> str:
-    bws = [l.bandwidth_mhz for l in links]
-    if len(bws) == 1:
-        return str(bws[0])
-    if len(set(bws)) == 1:
-        return f"{len(bws)}x{bws[0]}"
-    return "+".join(str(b) for b in bws)
+def expand_links(name: str) -> tuple[phy.LinkSpec, ...]:
+    """The links of a named set, on carriers 5.2/5.5/6.1/6.5 GHz in order."""
+    check_choice("links", name, LINK_SETS)
+    return tuple(phy.LinkSpec(phy.CARRIERS_GHZ[i], bw)
+                 for i, bw in enumerate(LINK_SETS[name]))
 
 
-def equivalent_single_link(links) -> tuple[phy.LinkSpec, ...]:
-    """The single link with the same total bandwidth as an MLO link set."""
-    total = sum(l.bandwidth_mhz for l in links)
-    return expand_links((total,))
+def equivalent_single_link(name: str) -> str:
+    """The single-link set with the same total bandwidth as a link set."""
+    return str(sum(LINK_SETS[name]))
 
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    policy: str = "greedy"
-    links: tuple = field(default_factory=lambda: expand_links("2x40"))
+    policy: str = mld.GREEDY
+    links: str = "2x40"
     n_sta: int = 1
     cell_radius_m: float = 10.0
     sim_duration_s: float = 50.0
     activation_window_s: float = 1.0
     seeds: tuple = tuple(range(10))
-    traffic_overrides: dict | None = None
+    traffic: dict | None = None
     buffer_cap: int = mld.DEFAULT_BUFFER_CAP
     count_own_tx: bool = True
     update_period_s: float = mld.DEFAULT_UPDATE_PERIOD_US / US_PER_SEC
@@ -96,28 +82,23 @@ class ScenarioConfig:
     rate_control: str = "minstrel"
     fixed_mcs: int = 7
 
-    def validate(self):
+    def __post_init__(self):
+        check_choice("policy", self.policy, mld.POLICIES)
+        check_choice("links", self.links, LINK_SETS)
+        check_choice("rate_control", self.rate_control, ("minstrel", "fixed"))
         for f in fields(self):
             accepted = _ANNOTATION_TYPES.get(f.type)
             if accepted and type(getattr(self, f.name)) not in accepted[0]:
                 raise ValueError(f"{f.name} must be {accepted[1]}")
         if not all(type(s) is int for s in self.seeds):
             raise ValueError("seeds must be integers")
-        policy = mld.canonical_policy(self.policy)
         if self.n_sta < 1:
             raise ValueError("n_sta must be at least 1")
         if not self.seeds:
             raise ValueError("at least one seed required")
-        mld.check_link_count(policy, len(self.links))
-        bws = tuple(sorted(l.bandwidth_mhz for l in self.links))
-        if bws not in ALLOWED_BANDWIDTH_SETS:
-            raise ValueError(f"unsupported link set {bws}; "
-                             f"allowed: {sorted(ALLOWED_BANDWIDTH_SETS)}")
-        carriers = [l.carrier_ghz for l in self.links]
-        if len(set(carriers)) != len(carriers):
-            raise ValueError("links must use distinct carriers")
-        if self.rate_control not in ("minstrel", "fixed"):
-            raise ValueError(f"unknown rate_control {self.rate_control!r}")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError("seeds must not repeat")
+        mld.check_link_count(self.policy, len(LINK_SETS[self.links]))
         if not 0 <= self.fixed_mcs < len(phy.MCS_TABLE):
             raise ValueError("fixed_mcs out of range")
         if self.sim_duration_s <= 0:
@@ -137,6 +118,9 @@ class ScenarioConfig:
             raise ValueError("buffer_cap must be at least 1")
         if not (math.isfinite(self.cell_radius_m) and self.cell_radius_m > 0):
             raise ValueError("cell_radius_m must be finite and positive")
+        if self.traffic is not None:
+            _check_traffic(self.traffic)
+        streams_of(self)  # builds every stream, so their own checks run too
 
     @property
     def horizon_us(self) -> int:
@@ -147,8 +131,29 @@ class ScenarioConfig:
         return int(self.update_period_s * US_PER_SEC)
 
 
+def _check_traffic(overrides: dict) -> None:
+    if not isinstance(overrides, dict):
+        raise ValueError("config key 'traffic' must be an object")
+    known = set(StreamConfig.__dataclass_fields__) - {"kind"}  # the key names it
+    for kind, repl in overrides.items():
+        if kind == "enabled":
+            if not isinstance(repl, list):
+                raise ValueError("traffic key 'enabled' must be a list")
+            for k in repl:
+                if k not in TRAFFIC_KINDS:
+                    raise ValueError(f"unknown traffic kind {k!r} in 'enabled'")
+            continue
+        if kind not in TRAFFIC_KINDS:
+            raise ValueError(f"unknown traffic kind {kind!r}")
+        if not isinstance(repl, dict):
+            raise ValueError(f"traffic key {kind!r} must be an object")
+        for key in repl:
+            if key not in known:
+                raise ValueError(f"unknown traffic field {key!r} under {kind!r}")
+
+
 def streams_of(cfg: ScenarioConfig):
-    overrides = dict(cfg.traffic_overrides or {})
+    overrides = dict(cfg.traffic or {})
     enabled = overrides.pop("enabled", None)
     streams = default_stream_set(overrides)
     if enabled is not None:
@@ -186,14 +191,14 @@ class Experiment:
     """One seed's fully wired simulation."""
 
     def __init__(self, cfg: ScenarioConfig, seed: int):
-        cfg.validate()
         self.cfg = cfg
         self.seed = seed
         self.sim = Simulator(seed)
         self.deployment = deploy(cfg, seed)
         self.streams = streams_of(cfg)
 
-        self.media = [Medium(self.sim, link, j) for j, link in enumerate(cfg.links)]
+        self.media = [Medium(self.sim, link, j)
+                      for j, link in enumerate(expand_links(cfg.links))]
         fixed_mcs = cfg.fixed_mcs if cfg.rate_control == "fixed" else None
         self.devices: dict[int, mld.MldDevice] = {}
         for dev_id in range(cfg.n_sta + 1):
@@ -271,7 +276,6 @@ def _seed_task(args):
 
 def run_seeds(cfg: ScenarioConfig, workers: int = 1) -> list[DelayRecord]:
     """One independent simulation per seed; records merged in seed order."""
-    cfg.validate()
     if workers > 1 and len(cfg.seeds) > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_seed_task, [(cfg, s) for s in cfg.seeds]))

@@ -127,7 +127,7 @@ def export_ccdf(records: list, stream_kind: str) -> list[tuple[int, float]]:
 @dataclass
 class CapacityResult:
     policy: str
-    links_label: str
+    links: str
     max_sta: int
     per_n: list  # (n, [StreamVerdict], bool)
 
@@ -174,7 +174,7 @@ def format_summary(verdicts: list[StreamVerdict]) -> str:
 
 
 def format_capacity(result: CapacityResult) -> str:
-    lines = [f"policy={result.policy} links={result.links_label} max_sta={result.max_sta}"]
+    lines = [f"policy={result.policy} links={result.links} max_sta={result.max_sta}"]
     for n, verdicts, ok in result.per_n:
         parts = [f"n={n}", "pass" if ok else "fail"]
         for v in verdicts:

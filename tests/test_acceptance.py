@@ -25,7 +25,7 @@ from mlosim import cli, phy
 from mlosim.engine import Simulator, rng_stream
 from mlosim.mac import BLOCK_ACK_US, DIFS_US, SIFS_US, SLOT_US, LinkMac, Medium
 from mlosim.mld import LOST, MldDevice, split_uniform, split_weighted
-from mlosim.scenario import ScenarioConfig, expand_links, run_one, run_seeds, streams_of
+from mlosim.scenario import ScenarioConfig, run_one, run_seeds, streams_of
 from mlosim.stats import all_pass, evaluate
 from mlosim.traffic import (UNSET, AppFrame, default_stream_set, sample_frame_size,
                              sample_trunc_gauss)
@@ -171,7 +171,7 @@ def sweep():
     workers = os.cpu_count() or 1
 
     def config(policy, links, n=1):
-        return ScenarioConfig(policy=policy, links=expand_links(links),
+        return ScenarioConfig(policy=policy, links=links,
                               n_sta=n, sim_duration_s=duration, seeds=seeds)
 
     t0 = time.perf_counter()
@@ -250,10 +250,10 @@ def test_criterion_6_dl_stream_fails_first(sweep):
 def test_criterion_7_single_transmitter_closed_form():
     horizon_us = 5_000_000
     seed = 4
-    cfg = ScenarioConfig(policy="sl", links=expand_links("80"), n_sta=1,
+    cfg = ScenarioConfig(policy="sl", links="80", n_sta=1,
                          sim_duration_s=horizon_us / 1e6,
                          activation_window_s=0.0, seeds=(seed,),
-                         traffic_overrides={"enabled": ["ul_video"]},
+                         traffic={"enabled": ["ul_video"]},
                          rate_control="fixed", fixed_mcs=7)
     rows = run_one(cfg, seed)
     by_index = {r.frame_index: r.delay_us for r in rows}
@@ -305,7 +305,7 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
 # -- criterion 9 ----------------------------------------------------------------
 
 def test_criterion_9_runtime_budget(sweep):
-    cfg = ScenarioConfig(policy="greedy", links=expand_links("2x40"), n_sta=6,
+    cfg = ScenarioConfig(policy="greedy", links="2x40", n_sta=6,
                          sim_duration_s=50.0, seeds=(0,))
     t0 = time.perf_counter()
     rows = run_one(cfg, 0)

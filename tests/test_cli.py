@@ -1,11 +1,13 @@
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from mlosim import cli
-from mlosim.scenario import ScenarioConfig, expand_links
+from mlosim import cli, mld
+from mlosim.scenario import LINK_SETS
 
 
 TINY = {"n_sta": 1, "sim_duration_s": 2.0, "activation_window_s": 0.1,
@@ -105,6 +107,8 @@ def test_run_names_unknown_traffic_field(tmp_path, capsys):
     ("activation_window_s", float("nan")),
     ("sim_duration_s", True),  # a bool is no number
     ("links", [40.7, 40]),  # was truncated to 2x40
+    ("seeds", [1, 1]),  # would record and count every frame of seed 1 twice
+    ("seeds", 5),
 ])
 def test_resolve_config_rejects_out_of_range_knobs(key, value):
     with pytest.raises(cli.ConfigError, match=key):
@@ -122,11 +126,14 @@ def test_resolve_config_rejects_out_of_range_knobs(key, value):
     ("ul_video", "kind", "pose"),  # would run two pose streams, no ul_video
     ("dl_video", "periodicity_us", 3000),  # jitter reordered arrivals: exit 2
     ("dl_video", "jitter_model", {"mean": 0, "std": 1, "min": -1, "max": 1}),
+    ("dl_video", None, None),  # field None: value is the whole override
+    ("dl_video", None, "pdb_us"),  # was read as the fields 'p', 'd', 'b', ...
 ])
 def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
     # resolution only: a run with such a stream would exhaust memory
-    with pytest.raises(cli.ConfigError, match=field):
-        cli.resolve_config({**TINY, "traffic": {kind: {field: value}}})
+    override = value if field is None else {field: value}
+    with pytest.raises(cli.ConfigError, match=field or f"{kind}' must be an object"):
+        cli.resolve_config({**TINY, "traffic": {kind: override}})
 
 
 def test_stream_period_enters_rate_check():
@@ -145,7 +152,7 @@ def test_seeds_flag_overrides_config(tmp_path):
 
 
 def test_manifest_config_roundtrip(tmp_path):
-    config = {**TINY, "policy": "congestion_aware", "links": [40, 40],
+    config = {**TINY, "policy": "congestion", "links": "2x40",
               "traffic": {"enabled": ["pose"]}}
     code, out = run_cli(tmp_path, "run", config)
     assert code == 0
@@ -155,8 +162,41 @@ def test_manifest_config_roundtrip(tmp_path):
     assert echo["links"] == "2x40"
     resolved = cli.resolve_config(echo)
     assert resolved == cli.resolve_config(config)
-    assert resolved.links == expand_links("2x40")
+    assert resolved.links == "2x40"
     assert manifest["version"] and manifest["runtime_s"] >= 0
+
+
+@pytest.mark.parametrize("policy,links", [
+    (policy, links) for policy in mld.POLICIES for links in LINK_SETS
+    if (policy == mld.SL) == (len(LINK_SETS[links]) == 1)])
+def test_config_echo_resolves_to_same_config(policy, links):
+    cfg = cli.resolve_config({**TINY, "policy": policy, "links": links,
+                              "traffic": {"pose": {"pdb_us": 8000}}})
+    echo = json.loads(json.dumps(cli.config_to_dict(cfg)))  # as in the manifest
+    assert cli.resolve_config(echo) == cfg
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("run", "policy", ["x"]),
+    ("run", "policy", "congestion_aware"),  # the five names are the only spellings
+    ("run", "links", [40, 40]),  # so are the five link-set names
+    ("sweep", "policies", [["x"]]),
+    ("sweep", "link_sets", [40]),
+])
+def test_config_names_only_canonical_choices(tmp_path, capsys, command, key, value):
+    config = {**TINY, key: value}
+    if command == "sweep":
+        config["sta_counts"] = [1]
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 1
+    assert key in capsys.readouterr().err
+
+
+def test_readme_config_example_resolves():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    example = json.loads(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    echo = json.loads(json.dumps(cli.config_to_dict(cli.resolve_config(example))))
+    assert {key: echo[key] for key in example} == example
 
 
 def test_rerun_outputs_byte_identical(tmp_path):
@@ -221,7 +261,7 @@ def test_capacity_zero_warns(tmp_path, capsys):
 # -- sweep command ---------------------------------------------------------------
 
 def test_sweep_cross_product(tmp_path, capsys):
-    cfg = {"policies": ["greedy", "single_link"], "link_sets": ["2x40"],
+    cfg = {"policies": ["greedy", "sl"], "link_sets": ["2x40"],
            "sta_counts": [1, 2], "sim_duration_s": 2.0,
            "activation_window_s": 0.1, "seeds": [1]}
     code, out = run_cli(tmp_path, "sweep", cfg)
@@ -278,6 +318,15 @@ def test_bad_seeds_flag(tmp_path, capsys):
                      "--seeds", "1,x"])
     assert code == 1
     assert "--seeds" in capsys.readouterr().err
+
+
+def test_seeds_flag_rejects_repeats(tmp_path, capsys):
+    cfg = write_config(tmp_path, TINY)
+    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--seeds", "1,1"])
+    assert code == 1
+    assert "seeds" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_bad_workers_flag(tmp_path, capsys):

@@ -10,11 +10,11 @@ from mlosim.mld import (
     LOST,
     CongestionEstimate,
     MldDevice,
-    canonical_policy,
     check_link_count,
     split_uniform,
     split_weighted,
 )
+from mlosim.scenario import ScenarioConfig
 from mlosim.traffic import UNSET, AppFrame, default_stream_set
 
 DL = default_stream_set()[0]
@@ -66,12 +66,11 @@ def spy_transmissions(sim, dev):
 # -- policy arithmetic ---------------------------------------------------
 
 def test_policy_names_and_aliases():
-    assert canonical_policy("greedy") == "greedy"
-    assert canonical_policy("single_link") == "sl"
-    assert canonical_policy("congestion_aware") == "congestion"
-    assert canonical_policy("condition_aware") == "condition"
-    with pytest.raises(ValueError):
-        canonical_policy("round_robin")
+    # the five names are the only spellings: an alias is an unknown policy
+    assert mld.POLICIES == ("sl", "greedy", "uniform", "congestion", "condition")
+    for name in ("round_robin", "single_link", "congestion_aware", "condition_aware"):
+        with pytest.raises(ValueError, match="policy must be one of"):
+            ScenarioConfig(policy=name)
 
 
 def test_split_uniform_cases():

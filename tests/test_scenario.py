@@ -3,7 +3,6 @@ import statistics
 
 import pytest
 
-from mlosim import phy
 from mlosim.scenario import (
     Deployment,
     Experiment,
@@ -11,7 +10,6 @@ from mlosim.scenario import (
     deploy,
     equivalent_single_link,
     expand_links,
-    links_label,
     run_one,
     run_seeds,
     streams_of,
@@ -20,7 +18,7 @@ from mlosim.stats import evaluate, format_records, all_pass
 
 
 def cfg_with(**kwargs):
-    defaults = dict(policy="greedy", links=expand_links("2x40"), n_sta=1,
+    defaults = dict(policy="greedy", links="2x40", n_sta=1,
                     sim_duration_s=2.0, seeds=(1,))
     defaults.update(kwargs)
     return ScenarioConfig(**defaults)
@@ -35,7 +33,6 @@ def test_expand_links_shorthands():
     links = expand_links("4x20")
     assert [l.carrier_ghz for l in links] == [5.2, 5.5, 6.1, 6.5]
     assert [l.bandwidth_mhz for l in expand_links("160")] == [160]
-    assert [l.bandwidth_mhz for l in expand_links([80, 80])] == [80, 80]
 
 
 def test_expand_links_rejects_unknown():
@@ -43,60 +40,47 @@ def test_expand_links_rejects_unknown():
         expand_links("3x30")
 
 
-def test_links_label_roundtrip():
-    for name in ("80", "160", "2x40", "4x20", "2x80"):
-        assert links_label(expand_links(name)) == name
-
-
 def test_equivalent_single_link_total_bandwidth():
-    assert [l.bandwidth_mhz for l in equivalent_single_link(expand_links("2x40"))] == [80]
-    assert [l.bandwidth_mhz for l in equivalent_single_link(expand_links("4x20"))] == [80]
-    assert [l.bandwidth_mhz for l in equivalent_single_link(expand_links("2x80"))] == [160]
+    assert equivalent_single_link("2x40") == "80"
+    assert equivalent_single_link("4x20") == "80"
+    assert equivalent_single_link("2x80") == "160"
+    assert equivalent_single_link("160") == "160"
 
 
 # -- config validation ---------------------------------------------------------
 
 def test_sl_with_two_links_rejected():
-    cfg = cfg_with(policy="sl")
     with pytest.raises(ValueError, match="sl requires exactly 1 link"):
-        cfg.validate()
+        cfg_with(policy="sl")
 
 
 def test_mlo_with_one_link_rejected():
-    cfg = cfg_with(policy="uniform", links=expand_links("80"))
     with pytest.raises(ValueError):
-        cfg.validate()
+        cfg_with(policy="uniform", links="80")
 
 
 def test_nonstandard_link_set_rejected():
-    cfg = cfg_with(links=(phy.LinkSpec(5.2, 40), phy.LinkSpec(5.5, 80)))
-    with pytest.raises(ValueError, match="unsupported link set"):
-        cfg.validate()
-
-
-def test_duplicate_carriers_rejected():
-    cfg = cfg_with(links=(phy.LinkSpec(5.2, 40), phy.LinkSpec(5.2, 40)))
-    with pytest.raises(ValueError, match="distinct carriers"):
-        cfg.validate()
+    with pytest.raises(ValueError, match="links must be one of"):
+        cfg_with(links="40+80")
 
 
 def test_bad_counts_rejected():
     with pytest.raises(ValueError):
-        cfg_with(n_sta=0).validate()
+        cfg_with(n_sta=0)
     with pytest.raises(ValueError):
-        cfg_with(seeds=()).validate()
+        cfg_with(seeds=())
     with pytest.raises(ValueError):
-        cfg_with(rate_control="aarf").validate()
+        cfg_with(rate_control="aarf")
     with pytest.raises(ValueError):
-        cfg_with(sim_duration_s=0.5).validate()  # shorter than activation window
+        cfg_with(sim_duration_s=0.5)  # shorter than activation window
 
 
 def test_traffic_enabled_filter():
-    cfg = cfg_with(traffic_overrides={"enabled": ["ul_video"]})
+    cfg = cfg_with(traffic={"enabled": ["ul_video"]})
     streams = streams_of(cfg)
     assert [s.kind for s in streams] == ["ul_video"]
     with pytest.raises(ValueError):
-        streams_of(cfg_with(traffic_overrides={"enabled": []}))
+        cfg_with(traffic={"enabled": []})
 
 
 # -- deployment ------------------------------------------------------------------
@@ -129,7 +113,7 @@ def test_deploy_min_distance_floor():
 # -- wiring ---------------------------------------------------------------------
 
 def test_sl_wiring_counts():
-    cfg = cfg_with(policy="sl", links=expand_links("80"), n_sta=6)
+    cfg = cfg_with(policy="sl", links="80", n_sta=6)
     exp = Experiment(cfg, seed=1)
     assert len(exp.devices) == 7
     assert all(len(d.macs) == 1 for d in exp.devices.values())
@@ -139,7 +123,7 @@ def test_sl_wiring_counts():
 
 
 def test_mlo_wiring_counts():
-    cfg = cfg_with(policy="condition", links=expand_links("4x20"), n_sta=2)
+    cfg = cfg_with(policy="condition", links="4x20", n_sta=2)
     exp = Experiment(cfg, seed=1)
     assert all(len(d.macs) == 4 for d in exp.devices.values())
     carriers = [m.medium.link.carrier_ghz for m in exp.devices[0].macs]
@@ -222,7 +206,7 @@ def test_run_seeds_parallel_equals_serial():
 
 def test_overload_marks_frames_lost():
     # three stations of DL video cannot fit through MCS0 at 80 MHz
-    cfg = cfg_with(policy="sl", links=expand_links("80"), n_sta=3,
+    cfg = cfg_with(policy="sl", links="80", n_sta=3,
                    sim_duration_s=2.0, rate_control="fixed", fixed_mcs=0)
     rows = run_one(cfg, seed=1)
     lost = [r for r in rows if r.delay_us is None]

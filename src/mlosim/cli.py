@@ -33,6 +33,9 @@ EXIT_INTERNAL = 2
 SCENARIO_KEYS = tuple(f.name for f in fields(ScenarioConfig))
 CAPACITY_KEYS = ("max_sta",)
 SWEEP_KEYS = ("policies", "link_sets", "sta_counts")
+CAPACITY_SETS = ("n_sta",)  # scenario keys the command sets, so no config may
+SWEEP_SETS = ("policy", "links", "n_sta")
+MAX_STA = 64  # capacity search cap when the config sets no max_sta
 
 
 class ConfigError(ValueError):
@@ -58,6 +61,12 @@ def _check_keys(raw: dict, allowed) -> None:
             raise ConfigError(f"unknown config key {key!r}")
 
 
+def _reject_set_keys(raw: dict, keys, command: str) -> None:
+    for key in keys:
+        if key in raw:
+            raise ConfigError(f"config key {key!r} is not allowed: {command} sets it")
+
+
 def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed config dict.
 
@@ -76,9 +85,10 @@ def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
         raise ConfigError(str(e))
 
 
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    """Resolved-config echo; resolve_config on the result yields cfg back."""
-    return {key: value for key, value in asdict(cfg).items() if value is not None}
+def config_to_dict(cfg: ScenarioConfig, omit=()) -> dict:
+    """Resolved-config echo without the omit keys; resolve_config on it yields cfg."""
+    return {key: value for key, value in asdict(cfg).items()
+            if value is not None and key not in omit}
 
 
 def write_atomic(path: Path, text: str) -> None:
@@ -127,9 +137,10 @@ def cmd_run(args) -> int:
 
 def cmd_capacity(args) -> int:
     raw = load_config(args.config)
-    max_n = raw.get("max_sta", 64)
+    max_n = raw.get("max_sta", MAX_STA)
     if type(max_n) is not int or max_n < 1:
         raise ConfigError("config key 'max_sta' must be a positive integer")
+    _reject_set_keys(raw, CAPACITY_SETS, "capacity")
     cfg = resolve_config(raw, seeds=args.seeds, extra_keys=CAPACITY_KEYS)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -142,7 +153,8 @@ def cmd_capacity(args) -> int:
             lines.append(f"{n},{v.stream},{format_delay(v.worst_p99_us)},"
                          f"{v.pdb_us},{'PASS' if v.passed else 'FAIL'}")
     write_atomic(out_dir / "per_n.csv", "\n".join(lines) + "\n")
-    write_manifest(out_dir, "capacity", args.config, config_to_dict(cfg),
+    echo = {**config_to_dict(cfg, omit=CAPACITY_SETS), "max_sta": max_n}
+    write_manifest(out_dir, "capacity", args.config, echo,
                    time.perf_counter() - t0)
     print(f"policy={result.policy} links={result.links} "
           f"max_sta={result.max_sta}")
@@ -151,7 +163,7 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
-def capacity_search(base_cfg: ScenarioConfig, max_n: int = 64,
+def capacity_search(base_cfg: ScenarioConfig, max_n: int = MAX_STA,
                     workers: int = 1) -> CapacityResult:
     """Raise n_sta from 1 until a stream verdict fails; previous n is the
     capacity.  Stops early on the first failure (loads only grow with n).
@@ -177,38 +189,34 @@ def capacity_search(base_cfg: ScenarioConfig, max_n: int = 64,
     return CapacityResult(base_cfg.policy, base_cfg.links, max_sta, per_n)
 
 
-def _sweep_cell(base_cfg: ScenarioConfig, policy: str, links: str, n: int,
-                workers: int):
-    if policy == mld.SL:
-        links = equivalent_single_link(links)
-    cfg = replace(base_cfg, policy=policy, links=links, n_sta=n)
-    return links, evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
-
-
 def cmd_sweep(args) -> int:
     raw = load_config(args.config)
+    _reject_set_keys(raw, SWEEP_SETS, "sweep")
     for key in SWEEP_KEYS:
-        if key in raw and not isinstance(raw[key], list):
-            raise ConfigError(f"config key {key!r} must be a list")
+        if key in raw and not (isinstance(raw[key], list) and raw[key]):
+            raise ConfigError(f"config key {key!r} must be a list with at least one entry")
     policies = raw.get("policies", list(mld.POLICIES))
     link_sets = raw.get("link_sets", ["2x40"])
     sta_counts = raw.get("sta_counts")
     if not sta_counts:
         raise ConfigError("sweep config requires key 'sta_counts'")
-    try:
-        for key, names, table in (("policies", policies, mld.POLICIES),
-                                  ("link_sets", link_sets, LINK_SETS)):
-            for name in names:
-                check_choice(f"each of config key {key!r}", name, table)
-    except ValueError as e:
-        raise ConfigError(str(e))
     if any(type(n) is not int or n < 1 for n in sta_counts):
         raise ConfigError("config key 'sta_counts' must be a list of positive integers")
-    base_raw = {k: v for k, v in raw.items() if k not in SWEEP_KEYS}
-    base_raw.pop("policy", None)
-    base_raw.pop("links", None)
-    base_raw.pop("n_sta", None)
-    base_cfg = resolve_config(base_raw, seeds=args.seeds)
+    base_cfg = resolve_config({k: v for k, v in raw.items() if k not in SWEEP_KEYS},
+                              seeds=args.seeds)
+    cells = {}  # (policy, links, n) -> checked config; a repeated cell runs once
+    for policy in policies:
+        for name in link_sets:
+            try:
+                check_choice("each of config key 'policies'", policy, mld.POLICIES)
+                check_choice("each of config key 'link_sets'", name, LINK_SETS)
+                links = equivalent_single_link(name) if policy == mld.SL else name
+                for n in sta_counts:
+                    if (policy, links, n) not in cells:
+                        cells[policy, links, n] = replace(
+                            base_cfg, policy=policy, links=links, n_sta=n)
+            except ValueError as e:
+                raise ConfigError(f"sweep cell ({policy}, {name}): {e}")
     kinds = [s.kind for s in streams_of(base_cfg)]
 
     out_dir = Path(args.out)
@@ -218,26 +226,21 @@ def cmd_sweep(args) -> int:
     header += [f"{k}_p99_us" for k in kinds] + ["overall"]
     lines = [",".join(header)]
     failures = 0
-    for policy in policies:
-        for link_name in link_sets:
-            for n in sta_counts:
-                try:
-                    label, verdicts = _sweep_cell(base_cfg, policy, link_name, n,
-                                                  args.workers)
-                    by_kind = {v.stream: v for v in verdicts}
-                    cells = [format_delay(by_kind[k].worst_p99_us) for k in kinds]
-                    overall = "PASS" if all(v.passed for v in verdicts) else "FAIL"
-                except Exception as e:
-                    log.error("sweep cell (%s, %s, %d) failed: %s",
-                              policy, link_name, n, e)
-                    label = link_name
-                    cells = ["ERROR"] * len(kinds)
-                    overall = "ERROR"
-                    failures += 1
-                lines.append(",".join([policy, label, str(n)] + cells + [overall]))
-                log.info("sweep cell done: %s", lines[-1])
+    for (policy, links, n), cfg in cells.items():
+        try:
+            verdicts = evaluate(run_seeds(cfg, workers=args.workers), streams_of(cfg))
+            by_kind = {v.stream: v for v in verdicts}
+            p99s = [format_delay(by_kind[k].worst_p99_us) for k in kinds]
+            overall = "PASS" if all(v.passed for v in verdicts) else "FAIL"
+        except Exception as e:
+            log.error("sweep cell (%s, %s, %d) failed: %s", policy, links, n, e)
+            p99s = ["ERROR"] * len(kinds)
+            overall = "ERROR"
+            failures += 1
+        lines.append(",".join([policy, links, str(n)] + p99s + [overall]))
+        log.info("sweep cell done: %s", lines[-1])
     write_atomic(out_dir / "sweep.csv", "\n".join(lines) + "\n")
-    echo = config_to_dict(base_cfg)
+    echo = config_to_dict(base_cfg, omit=SWEEP_SETS)
     echo.update({"policies": list(policies), "link_sets": list(link_sets),
                  "sta_counts": list(sta_counts)})
     write_manifest(out_dir, "sweep", args.config, echo,

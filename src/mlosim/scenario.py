@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from . import mld, phy
 from .engine import US_PER_SEC, Simulator, rng_stream
@@ -41,6 +41,7 @@ MIN_LINK_DISTANCE_M = 1.0  # geometry floor; propagation is near-field below
 # Value types each ScenarioConfig annotation accepts; a bool is no number.
 _ANNOTATION_TYPES = {
     "int": ((int,), "an integer"),
+    "int | None": ((int, type(None)), "an integer or null"),
     "float": ((int, float), "a number"),
     "bool": ((bool,), "true or false"),
     "str": ((str,), "a string"),
@@ -79,13 +80,11 @@ class ScenarioConfig:
     count_own_tx: bool = True
     update_period_s: float = mld.DEFAULT_UPDATE_PERIOD_US / US_PER_SEC
     ma_window: int = mld.DEFAULT_MA_WINDOW
-    rate_control: str = "minstrel"
-    fixed_mcs: int = 7
+    fixed_mcs: int | None = None  # None: Minstrel rate control
 
     def __post_init__(self):
         check_choice("policy", self.policy, mld.POLICIES)
         check_choice("links", self.links, LINK_SETS)
-        check_choice("rate_control", self.rate_control, ("minstrel", "fixed"))
         for f in fields(self):
             accepted = _ANNOTATION_TYPES.get(f.type)
             if accepted and type(getattr(self, f.name)) not in accepted[0]:
@@ -99,7 +98,7 @@ class ScenarioConfig:
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError("seeds must not repeat")
         mld.check_link_count(self.policy, len(LINK_SETS[self.links]))
-        if not 0 <= self.fixed_mcs < len(phy.MCS_TABLE):
+        if self.fixed_mcs is not None and not 0 <= self.fixed_mcs < len(phy.MCS_TABLE):
             raise ValueError("fixed_mcs out of range")
         if self.sim_duration_s <= 0:
             raise ValueError("sim_duration_s must be positive")
@@ -118,9 +117,7 @@ class ScenarioConfig:
             raise ValueError("buffer_cap must be at least 1")
         if not (math.isfinite(self.cell_radius_m) and self.cell_radius_m > 0):
             raise ValueError("cell_radius_m must be finite and positive")
-        if self.traffic is not None:
-            _check_traffic(self.traffic)
-        streams_of(self)  # builds every stream, so their own checks run too
+        streams_of(self)  # checks traffic and builds every stream
 
     @property
     def horizon_us(self) -> int:
@@ -131,17 +128,26 @@ class ScenarioConfig:
         return int(self.update_period_s * US_PER_SEC)
 
 
-def _check_traffic(overrides: dict) -> None:
-    if not isinstance(overrides, dict):
+def streams_of(cfg: ScenarioConfig) -> list[StreamConfig]:
+    """The streams cfg.traffic enables, its overrides applied.
+
+    One walk checks each traffic key as it applies it; overrides of kinds
+    left out of 'enabled' are applied too, so they are checked as well.
+    """
+    traffic = {} if cfg.traffic is None else cfg.traffic
+    if not isinstance(traffic, dict):
         raise ValueError("config key 'traffic' must be an object")
+    streams = {s.kind: s for s in default_stream_set()}
+    enabled = TRAFFIC_KINDS
     known = set(StreamConfig.__dataclass_fields__) - {"kind"}  # the key names it
-    for kind, repl in overrides.items():
+    for kind, repl in traffic.items():
         if kind == "enabled":
             if not isinstance(repl, list):
                 raise ValueError("traffic key 'enabled' must be a list")
             for k in repl:
                 if k not in TRAFFIC_KINDS:
                     raise ValueError(f"unknown traffic kind {k!r} in 'enabled'")
+            enabled = repl
             continue
         if kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown traffic kind {kind!r}")
@@ -150,17 +156,11 @@ def _check_traffic(overrides: dict) -> None:
         for key in repl:
             if key not in known:
                 raise ValueError(f"unknown traffic field {key!r} under {kind!r}")
-
-
-def streams_of(cfg: ScenarioConfig):
-    overrides = dict(cfg.traffic or {})
-    enabled = overrides.pop("enabled", None)
-    streams = default_stream_set(overrides)
-    if enabled is not None:
-        streams = [s for s in streams if s.kind in enabled]
-        if not streams:
-            raise ValueError("traffic.enabled selects no streams")
-    return streams
+        streams[kind] = replace(streams[kind], **repl)
+    selected = [s for s in streams.values() if s.kind in enabled]
+    if not selected:
+        raise ValueError("traffic.enabled selects no streams")
+    return selected
 
 
 @dataclass
@@ -199,7 +199,6 @@ class Experiment:
 
         self.media = [Medium(self.sim, link, j)
                       for j, link in enumerate(expand_links(cfg.links))]
-        fixed_mcs = cfg.fixed_mcs if cfg.rate_control == "fixed" else None
         self.devices: dict[int, mld.MldDevice] = {}
         for dev_id in range(cfg.n_sta + 1):
             device = mld.MldDevice(
@@ -207,7 +206,7 @@ class Experiment:
                 buffer_cap=cfg.buffer_cap, count_own_tx=cfg.count_own_tx,
                 update_period_us=cfg.update_period_us, ma_window=cfg.ma_window)
             for medium in self.media:
-                device.add_mac(LinkMac(self.sim, medium, dev_id, device, fixed_mcs))
+                device.add_mac(LinkMac(self.sim, medium, dev_id, device, cfg.fixed_mcs))
             self.devices[dev_id] = device
 
         for sta in range(1, cfg.n_sta + 1):

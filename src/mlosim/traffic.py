@@ -41,8 +41,6 @@ class TruncGaussModel:
             raise ValueError("mean outside [min, max]")
         if self.std < 0:
             raise ValueError("negative std")
-        if self.min > self.max:
-            raise ValueError("min above max")
 
 
 @dataclass(frozen=True)
@@ -116,13 +114,9 @@ class Mpdu:
         return f"Mpdu(sta={self.frame.station}, {self.frame.stream.kind}#{self.frame.index}.{self.index})"
 
 
-def default_stream_set(overrides: dict | None = None) -> list[StreamConfig]:
-    """The three per-station AR flows with their default parameters.
-
-    overrides maps stream kind to a dict of StreamConfig field replacements,
-    e.g. {"dl_video": {"pdb_us": 5000}}.
-    """
-    base = [
+def default_stream_set() -> list[StreamConfig]:
+    """The three per-station AR flows with their default parameters."""
+    return [
         StreamConfig(
             kind=DL_VIDEO,
             periodicity_us=16667,
@@ -146,17 +140,6 @@ def default_stream_set(overrides: dict | None = None) -> list[StreamConfig]:
             data_rate_mbps=0.2,
         ),
     ]
-    if not overrides:
-        return base
-    out = []
-    for cfg in base:
-        repl = overrides.get(cfg.kind)
-        if repl:
-            fields = {k: getattr(cfg, k) for k in cfg.__dataclass_fields__}
-            fields.update(repl)
-            cfg = StreamConfig(**fields)
-        out.append(cfg)
-    return out
 
 
 def sample_trunc_gauss(model: TruncGaussModel, rng: random.Random) -> float:

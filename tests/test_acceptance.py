@@ -5,9 +5,9 @@ Each test prints a single "criterion N (<label>): PASS <detail>" line
 same detail in the assertion message.
 
 The capacity-ordering criteria (5, 6, 9) share one 10-seed module-scoped
-sweep.  By default each probe simulates MLOSIM_ACC_DURATION seconds of
-traffic (8 s) so the whole sweep fits a single-core box in minutes; set
-MLOSIM_ACC_FULL=1 to run the full-length 50 s probes sized for a
+sweep.  Each probe simulates MLOSIM_ACC_DURATION seconds of traffic,
+8 s by default, so the whole sweep fits a single-core box in minutes;
+MLOSIM_ACC_DURATION=50 runs the full-length probes sized for a
 multi-core workstation.
 """
 import json
@@ -163,10 +163,7 @@ MLO_POLICIES = ("greedy", "uniform", "congestion", "condition")
 
 @pytest.fixture(scope="module")
 def sweep():
-    if os.environ.get("MLOSIM_ACC_FULL"):
-        duration = 50.0
-    else:
-        duration = float(os.environ.get("MLOSIM_ACC_DURATION", "8"))
+    duration = float(os.environ.get("MLOSIM_ACC_DURATION", "8"))
     seeds = tuple(range(10))
     workers = os.cpu_count() or 1
 
@@ -254,7 +251,7 @@ def test_criterion_7_single_transmitter_closed_form():
                          sim_duration_s=horizon_us / 1e6,
                          activation_window_s=0.0, seeds=(seed,),
                          traffic={"enabled": ["ul_video"]},
-                         rate_control="fixed", fixed_mcs=7)
+                         fixed_mcs=7)
     rows = run_one(cfg, seed)
     by_index = {r.frame_index: r.delay_us for r in rows}
     assert all(r.stream == "ul_video" for r in rows)

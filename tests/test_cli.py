@@ -71,6 +71,13 @@ def test_run_names_unknown_key(tmp_path, capsys):
     assert "'n_stations'" in capsys.readouterr().err
 
 
+def test_rate_control_key_is_unknown(tmp_path, capsys):
+    # fixed_mcs alone picks rate control
+    code, _ = run_cli(tmp_path, "run", {**TINY, "rate_control": "fixed"})
+    assert code == 1
+    assert "unknown config key 'rate_control'" in capsys.readouterr().err
+
+
 def test_run_names_unknown_traffic_field(tmp_path, capsys):
     # success_rate is not a stream field: stats.verdict holds the one 0.99
     # frame_rate is gone: periodicity_us alone sets a stream's rate
@@ -109,6 +116,10 @@ def test_run_names_unknown_traffic_field(tmp_path, capsys):
     ("links", [40.7, 40]),  # was truncated to 2x40
     ("seeds", [1, 1]),  # would record and count every frame of seed 1 twice
     ("seeds", 5),
+    ("fixed_mcs", True),  # an integer picks fixed rate; null or absent, Minstrel
+    ("fixed_mcs", "7"),
+    ("fixed_mcs", 12),
+    ("fixed_mcs", -1),
 ])
 def test_resolve_config_rejects_out_of_range_knobs(key, value):
     with pytest.raises(cli.ConfigError, match=key):
@@ -166,6 +177,17 @@ def test_manifest_config_roundtrip(tmp_path):
     assert manifest["version"] and manifest["runtime_s"] >= 0
 
 
+def test_unset_fixed_mcs_roundtrips_as_minstrel(tmp_path):
+    code, out = run_cli(tmp_path, "run", TINY)
+    assert code == 0
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    assert "fixed_mcs" not in echo
+    resolved = cli.resolve_config(echo)
+    assert resolved == cli.resolve_config(TINY)
+    assert resolved.fixed_mcs is None
+    assert cli.resolve_config({**TINY, "fixed_mcs": None}) == resolved
+
+
 @pytest.mark.parametrize("policy,links", [
     (policy, links) for policy in mld.POLICIES for links in LINK_SETS
     if (policy == mld.SL) == (len(LINK_SETS[links]) == 1)])
@@ -186,6 +208,7 @@ def test_config_echo_resolves_to_same_config(policy, links):
 def test_config_names_only_canonical_choices(tmp_path, capsys, command, key, value):
     config = {**TINY, key: value}
     if command == "sweep":
+        del config["n_sta"]
         config["sta_counts"] = [1]
     code, _ = run_cli(tmp_path, command, config)
     assert code == 1
@@ -231,7 +254,7 @@ def test_out_dir_from_env(tmp_path, monkeypatch, capsys):
 def test_capacity_outputs(tmp_path, capsys):
     cfg = {"policy": "sl", "links": "80", "sim_duration_s": 2.0,
            "activation_window_s": 0.1, "seeds": [1], "max_sta": 2,
-           "rate_control": "fixed", "fixed_mcs": 11}
+           "fixed_mcs": 11}
     code, out = run_cli(tmp_path, "capacity", cfg)
     assert code == 0
     text = (out / "capacity.txt").read_text()
@@ -240,6 +263,35 @@ def test_capacity_outputs(tmp_path, capsys):
     assert per_n[0] == "n,stream,worst_p99_us,pdb_us,verdict"
     assert len(per_n) == 1 + 2 * 3  # two probed n values x three streams
     assert "max_sta=2" in capsys.readouterr().out
+
+
+def test_capacity_reruns_from_manifest(tmp_path):
+    # the cap binds (n=2 passes as well), so the echo must carry max_sta
+    cfg = {"policy": "sl", "links": "80", "sim_duration_s": 2.0,
+           "activation_window_s": 0.1, "seeds": [1], "max_sta": 1}
+    code, out = run_cli(tmp_path, "capacity", cfg, out="a")
+    assert code == 0
+    echo = json.loads((out / "manifest.json").read_text())["config"]
+    assert echo["max_sta"] == 1 and "n_sta" not in echo
+    code, rerun = run_cli(tmp_path, "capacity", echo, out="b")
+    assert code == 0
+    assert (rerun / "capacity.txt").read_bytes() == (out / "capacity.txt").read_bytes()
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("capacity", "n_sta", 5),  # the search probes n = 1, 2, ...
+    ("sweep", "policy", "uniform"),  # each cell sets all three
+    ("sweep", "links", "4x20"),
+    ("sweep", "n_sta", 3),
+])
+def test_command_rejects_keys_it_sets(tmp_path, capsys, command, key, value):
+    config = {"sim_duration_s": 2.0, "seeds": [1], "sta_counts": [1], key: value}
+    if command == "capacity":
+        del config["sta_counts"]
+    code, out = run_cli(tmp_path, command, config)
+    assert code == 1
+    assert f"config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_capacity_rejects_bool_max_sta(tmp_path, capsys):
@@ -276,6 +328,27 @@ def test_sweep_cross_product(tmp_path, capsys):
     assert all(r.endswith(("PASS", "FAIL")) for r in rows[1:])
 
 
+def test_sweep_runs_each_cell_once(tmp_path):
+    # sl on 2x40 is sl on 80: one row per station count, not two
+    cfg = {"policies": ["sl"], "link_sets": ["80", "2x40"], "sta_counts": [1, 1],
+           "sim_duration_s": 2.0, "activation_window_s": 0.1, "seeds": [1]}
+    code, out = run_cli(tmp_path, "sweep", cfg)
+    assert code == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert [tuple(r.split(",")[:3]) for r in rows] == [("sl", "80", "1")]
+
+
+def test_sweep_rejects_mlo_policy_on_single_link(tmp_path, capsys):
+    cfg = {"policies": ["sl", "greedy"], "link_sets": ["2x40", "80"],
+           "sta_counts": [1], "sim_duration_s": 2.0, "activation_window_s": 0.1,
+           "seeds": [1]}
+    code, out = run_cli(tmp_path, "sweep", cfg)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "sweep cell (greedy, 80)" in err and "at least 2 links" in err
+    assert not (out / "sweep.csv").exists()
+
+
 def test_sweep_requires_sta_counts(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "sweep", {"policies": ["greedy"]})
     assert code == 1
@@ -294,6 +367,7 @@ def test_sweep_rejects_bad_policy(tmp_path, capsys):
     {"policies": "greedy", "sta_counts": [1]},
     {"link_sets": "2x40", "sta_counts": [1]},
     {"sta_counts": [True]},  # a bool is no station count
+    {"link_sets": [], "policies": ["fastest"], "sta_counts": [1]},  # no cell would check 'fastest'
 ])
 def test_sweep_requires_list_keys(tmp_path, capsys, bad):
     code, _ = run_cli(tmp_path, "sweep", bad)

@@ -28,7 +28,7 @@ CASES = {
         "7727b7d0a0013d469aec8aac9c92cd1a82560d5183834dcad31af3f725ca2f2e",
         "65c1f15e7f22d69ae740e5f36f1fffc7aab53b20ab2139f170bd4a2bb65756d6"),
     "sl-80-fixed": (
-        {**BASE, "policy": "sl", "links": "80", "rate_control": "fixed"},
+        {**BASE, "policy": "sl", "links": "80", "fixed_mcs": 7},
         "9cac140a173ba2e2310ef87060c51a2e28c36eceb58a3af69c38e96f4cfc26c7",
         "2aefeb1e4313d1ad15b294c88b65ed1cd856836778391954d6cffd3afdfcf618"),
     "greedy-2x40": (
@@ -40,7 +40,7 @@ CASES = {
         "95d46bc71d02c506141865e197a5433f0ac505c6df785d0a2bb3d470b3b59aba",
         "a11b58b67385ef2f3c029962244ba5b0eb453be0aa77376a455370c9e2a98f9e"),
     "uniform-2x40-fixed": (
-        {**BASE, "policy": "uniform", "links": "2x40", "rate_control": "fixed"},
+        {**BASE, "policy": "uniform", "links": "2x40", "fixed_mcs": 7},
         "bd6f749131ea717faa3350d5a4da72349fdc0834a867bb063a79ec247d0eef1b",
         "0db6db15db39d7f806d9f9372a7c4eb1fa2758902ed662e1dc8cf91c17f8a9f5"),
     "congestion-2x40": (
@@ -48,7 +48,7 @@ CASES = {
         "3ad6d95ec0b5231e7c9da9bae8b002cdb504b7b02bfe4c3785cd38e415becc77",
         "51b4c1e0b55be98361af075dbeec7315affb84b04826796df235f7495776197e"),
     "congestion-4x20-fixed": (
-        {**BASE, "policy": "congestion", "links": "4x20", "rate_control": "fixed"},
+        {**BASE, "policy": "congestion", "links": "4x20", "fixed_mcs": 7},
         "b760037350d804a9841aed677774fd4d1eae23cb6de51c324c4cf9acd4396dad",
         "8fc5dfb8da3e2b0582bba4b6ba359dc52be01679dc8d4ec7dd7abfc1277b4558"),
     "condition-2x40": (
@@ -79,8 +79,8 @@ CASES = {
     # exhaust their retries, and siblings of an already LOST frame are
     # still dropped or delivered afterwards
     "retry-condition-2x40-r14": (
-        {**BASE, "policy": "condition", "links": "2x40", "rate_control": "fixed",
-         "fixed_mcs": 11, "cell_radius_m": 14.0},
+        {**BASE, "policy": "condition", "links": "2x40", "fixed_mcs": 11,
+         "cell_radius_m": 14.0},
         "8a783a456c93541d3ffdd6ea76f2eeef709a13864c5ce56d22e52e085ddf178e",
         "eee212873d4a00e9cc522205464593d42e578aae7a1e65cba4b5ab7153f48c99"),
 }

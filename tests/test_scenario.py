@@ -70,8 +70,6 @@ def test_bad_counts_rejected():
     with pytest.raises(ValueError):
         cfg_with(seeds=())
     with pytest.raises(ValueError):
-        cfg_with(rate_control="aarf")
-    with pytest.raises(ValueError):
         cfg_with(sim_duration_s=0.5)  # shorter than activation window
 
 
@@ -207,7 +205,7 @@ def test_run_seeds_parallel_equals_serial():
 def test_overload_marks_frames_lost():
     # three stations of DL video cannot fit through MCS0 at 80 MHz
     cfg = cfg_with(policy="sl", links="80", n_sta=3,
-                   sim_duration_s=2.0, rate_control="fixed", fixed_mcs=0)
+                   sim_duration_s=2.0, fixed_mcs=0)
     rows = run_one(cfg, seed=1)
     lost = [r for r in rows if r.delay_us is None]
     assert lost, "expected saturation losses"

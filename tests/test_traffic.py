@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mlosim.engine import rng_stream
+from mlosim.scenario import ScenarioConfig, streams_of
 from mlosim.traffic import (
     AppFrame,
     StreamConfig,
@@ -117,7 +118,7 @@ def test_offered_load_sums_to_13_5_mbps():
 
 
 def test_stream_overrides_replace_fields():
-    streams = default_stream_set({"dl_video": {"pdb_us": 5000}})
+    streams = streams_of(ScenarioConfig(traffic={"dl_video": {"pdb_us": 5000}}))
     assert streams[0].pdb_us == 5000
     assert streams[1].pdb_us == 30_000
 

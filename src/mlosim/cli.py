@@ -160,6 +160,9 @@ def cmd_capacity(args) -> int:
           f"max_sta={result.max_sta}")
     if result.max_sta == 0:
         print("warning: capacity is 0, a single station already fails")
+    elif result.max_sta == max_n:
+        print(f"warning: no probe failed up to max_sta={max_n}; "
+              f"capacity is at least {max_n}")
     return EXIT_OK
 
 
@@ -231,7 +234,7 @@ def cmd_sweep(args) -> int:
             verdicts = evaluate(run_seeds(cfg, workers=args.workers), streams_of(cfg))
             by_kind = {v.stream: v for v in verdicts}
             p99s = [format_delay(by_kind[k].worst_p99_us) for k in kinds]
-            overall = "PASS" if all(v.passed for v in verdicts) else "FAIL"
+            overall = "PASS" if all_pass(verdicts) else "FAIL"
         except Exception as e:
             log.error("sweep cell (%s, %s, %d) failed: %s", policy, links, n, e)
             p99s = ["ERROR"] * len(kinds)

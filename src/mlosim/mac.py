@@ -18,10 +18,11 @@ overlapped PPDU, and no BlockAck is returned.  Two transmissions can only
 overlap by starting in the same microsecond, because a grant scheduled for
 a later instant is frozen the moment the medium turns busy.
 
-The medium keeps a coalesced busy timeline (data airtime plus BlockAck
-airtime, not interframe gaps) so congestion estimators can read the busy
-time of any period in O(1); per-MAC counters track each device's own
-airtime for the estimator mode that excludes it.
+A MAC contends exactly while it is in its medium's contender table and
+transmits exactly while its PPDU is in flight.  Busy time (data plus
+BlockAck airtime, not interframe gaps) is a coalesced `BusyTime` that
+estimators read for any period in O(1): one per medium, and one per MAC
+for the device's own airtime, which one estimator mode subtracts.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ ACK_TIMEOUT_US = SIFS_US + BLOCK_ACK_US + 2 * SLOT_US
 MAX_AMPDU_MPDUS = 64
 MAX_AMPDU_US = 5484
 RETRY_LIMIT = 10
-
-IDLE, CONTEND, TX = "idle", "contend", "tx"
 
 
 @dataclass(slots=True)
@@ -85,6 +84,31 @@ def retry_or_drop(mpdu: Mpdu) -> bool:
     return False
 
 
+class BusyTime:
+    """Coalesced busy timeline: completed total plus the current interval.
+
+    Intervals are marked in non-decreasing start order.  total(t) is exact
+    for t at or after the last start; estimator ticks sample it at
+    non-decreasing event times, which always satisfies that.
+    """
+
+    __slots__ = ("_cum", "_start", "_end")
+
+    def __init__(self):
+        self._cum = self._start = self._end = 0
+
+    def mark(self, start: int, end: int):
+        if start > self._end:
+            self._cum += self._end - self._start
+            self._start, self._end = start, end
+        elif end > self._end:
+            self._end = end
+
+    def total(self, t: int) -> int:
+        """Busy time in [0, t]."""
+        return self._cum + max(min(t, self._end) - self._start, 0)
+
+
 @dataclass(slots=True)
 class _Tx:
     mac: "LinkMac | None"  # None marks injected foreign occupancy
@@ -103,56 +127,26 @@ class Medium:
         self.index = index
         self.err_rng = sim.stream(f"phy.err.link{index}")
         self.macs: dict[int, LinkMac] = {}  # by device id
-        self.contenders: list[LinkMac] = []
+        # notified in entry order; on_medium_busy/idle never add or remove one
+        self.contenders: dict[LinkMac, None] = {}
         self.active: list[_Tx] = []
         self.reserved_until = 0  # covers the SIFS + BlockAck tail of a PPDU
-        # coalesced busy timeline: completed total + current interval
-        self._busy_cum = 0
-        self._cur_start = 0
-        self._cur_end = 0
+        self.busy = BusyTime()
 
     # -- sensing ------------------------------------------------------
 
     def is_busy(self, now: int) -> bool:
         return bool(self.active) or self.reserved_until > now
 
-    def _mark_busy(self, start: int, end: int):
-        if start > self._cur_end:
-            self._busy_cum += self._cur_end - self._cur_start
-            self._cur_start, self._cur_end = start, end
-        elif end > self._cur_end:
-            self._cur_end = end
-
     def busy_total(self, t: int) -> int:
-        """Cumulative airtime on this link in [0, t].
-
-        Exact for t within or beyond the current busy interval; estimator
-        ticks sample it at non-decreasing event times, which always
-        satisfies that.
-        """
-        partial = min(t, self._cur_end) - self._cur_start
-        return self._busy_cum + max(partial, 0)
-
-    # -- contention ---------------------------------------------------
-
-    def add_contender(self, mac: "LinkMac"):
-        self.contenders.append(mac)
-
-    def remove_contender(self, mac: "LinkMac"):
-        self.contenders.remove(mac)
-
-    def _notify_busy(self, busy_start: int):
-        for mac in list(self.contenders):
-            mac.on_medium_busy(busy_start)
-
-    def _notify_idle(self):
-        now = self.sim.now
-        for mac in list(self.contenders):
-            mac.on_medium_idle(now)
+        """Cumulative airtime on this link in [0, t]."""
+        return self.busy.total(t)
 
     def _maybe_idle(self):
-        if not self.active and self.reserved_until <= self.sim.now:
-            self._notify_idle()
+        now = self.sim.now
+        if not self.is_busy(now):
+            for mac in self.contenders:
+                mac.on_medium_idle(now)
 
     # -- transmission -------------------------------------------------
 
@@ -170,8 +164,9 @@ class Medium:
             other.collided = True
             tx.collided = True
         self.active.append(tx)
-        self._mark_busy(tx.start, tx.end)
-        self._notify_busy(now)
+        self.busy.mark(tx.start, tx.end)
+        for contender in self.contenders:
+            contender.on_medium_busy(now)
         self.sim.schedule(tx.end, self._tx_end, tx)
 
     def _tx_end(self, tx: _Tx):
@@ -189,11 +184,11 @@ class Medium:
         now = self.sim.now
         ba_start, ba_end = now + SIFS_US, now + SIFS_US + BLOCK_ACK_US
         self.reserved_until = ba_end
-        self._mark_busy(ba_start, ba_end)
+        self.busy.mark(ba_start, ba_end)
         bitmap = tx.mac.decode_bitmap(tx.ampdu)
         receiver = self.macs.get(tx.ampdu.dst)
         if receiver is not None:
-            receiver.mark_own_tx(ba_start, ba_end)
+            receiver.own.mark(ba_start, ba_end)
         self.sim.schedule(ba_end, self._ba_done, tx, bitmap)
 
     def _ba_done(self, tx: _Tx, bitmap: list):
@@ -218,16 +213,14 @@ class LinkMac:
         self.rate_rng = sim.stream(f"phy.rate.dev{device}.link{self.link_index}")
         self.peers: dict[int, phy.RateSelector] = {}  # by peer device id
         self.allocated: list[Mpdu] = []
-        self.state = IDLE
         self.cw = CW_MIN
         self.backoff = 0
         self.difs_end = 0
         self.grant = None  # pending access event while the medium is idle
-        self.in_flight: Ampdu | None = None
-        # airtime this device itself put on the link (data PPDUs + BlockAcks)
-        self._own_cum = 0
-        self._own_start = 0
-        self._own_end = 0
+        self.in_flight: Ampdu | None = None  # set exactly while transmitting
+        # airtime this device itself put on the link (data PPDUs + BlockAcks);
+        # never overlapping, since an overlapped PPDU gets no BlockAck
+        self.own = BusyTime()
 
     # -- rate selection -----------------------------------------------
 
@@ -244,12 +237,12 @@ class LinkMac:
     # -- contention ---------------------------------------------------
 
     def ensure_contending(self):
-        """Enter contention if idle; no-op while contending or transmitting."""
-        if self.state != IDLE:
+        """Enter contention; no-op while contending or transmitting."""
+        contenders = self.medium.contenders
+        if self in contenders or self.in_flight is not None:
             return
-        self.state = CONTEND
         self.backoff = self.backoff_rng.randint(0, self.cw)
-        self.medium.add_contender(self)
+        contenders[self] = None
         if not self.medium.is_busy(self.sim.now):
             self._arm_grant(self.sim.now)
 
@@ -272,44 +265,41 @@ class LinkMac:
             self.backoff -= min(consumed, self.backoff)
 
     def on_medium_idle(self, idle_time: int):
-        if self.state == CONTEND and self.grant is None:
+        if self.grant is None:
             self._arm_grant(idle_time)
 
     def _on_grant(self):
         self.grant = None
         ampdu = self.owner.build_ampdu(self)
+        del self.medium.contenders[self]
         if ampdu is None:
-            self._leave_contention()
             return
-        self.state = TX
-        self.medium.remove_contender(self)
         self.in_flight = ampdu
-        self.mark_own_tx(self.sim.now, self.sim.now + ampdu.duration_us)
+        now = self.sim.now
+        self.own.mark(now, now + ampdu.duration_us)
         self.medium.begin_tx(self, ampdu)
 
-    def _leave_contention(self):
-        self.state = IDLE
-        self.medium.remove_contender(self)
-
     def abort_contention(self):
-        """Owner recalled this link's allocation while we were waiting."""
-        if self.state != CONTEND:
+        """Leave contention, cancelling any pending grant; no-op otherwise."""
+        contenders = self.medium.contenders
+        if self not in contenders:
             return
         if self.grant is not None:
             self.sim.cancel(self.grant)
             self.grant = None
-        self._leave_contention()
+        del contenders[self]
 
     # -- outcome ------------------------------------------------------
 
     def decode_bitmap(self, ampdu: Ampdu) -> list:
         """Per-MPDU delivery flags at the receiver, noise errors only."""
-        snr = self.peers[ampdu.dst].snr_db
-        p = phy.error_probability(ampdu.mcs, snr)
+        p = phy.error_probability(ampdu.mcs, self.peers[ampdu.dst].snr_db)
         if p <= 0.0:
             return [True] * len(ampdu.mpdus)
+        if p >= 1.0:
+            return [False] * len(ampdu.mpdus)
         rng = self.medium.err_rng
-        return [not phy.mpdu_error(ampdu.mcs, snr, rng) for _ in ampdu.mpdus]
+        return [rng.random() >= p for _ in ampdu.mpdus]
 
     def on_tx_collided(self, ampdu: Ampdu):
         self.sim.schedule(self.sim.now + ACK_TIMEOUT_US, self._on_timeout, ampdu)
@@ -318,29 +308,17 @@ class LinkMac:
         self.cw = min((self.cw + 1) * 2 - 1, CW_MAX)
         self.peers[ampdu.dst].record(ampdu.mcs.index, 0.0)
         self.in_flight = None
-        self.state = IDLE
         self.owner.on_resolution(self, ampdu, None)
 
     def on_block_ack(self, ampdu: Ampdu, bitmap: list):
         self.cw = CW_MIN
         self.peers[ampdu.dst].record(ampdu.mcs.index, sum(bitmap) / len(bitmap))
         self.in_flight = None
-        self.state = IDLE
         self.owner.on_resolution(self, ampdu, bitmap)
-
-    # -- busy-time accounting ------------------------------------------
-
-    def mark_own_tx(self, start: int, end: int):
-        self._own_cum += self._own_end - self._own_start
-        self._own_start, self._own_end = start, end
-
-    def own_tx_total(self, t: int) -> int:
-        partial = min(t, self._own_end) - self._own_start
-        return self._own_cum + max(partial, 0)
 
     def sensed_busy_total(self, t: int, count_own_tx: bool = True) -> int:
         """Airtime this device has sensed on the link up to t."""
         total = self.medium.busy_total(t)
         if not count_own_tx:
-            total -= self.own_tx_total(t)
+            total -= self.own.total(t)
         return total

@@ -185,7 +185,8 @@ class MldDevice:
         self.pending.extend(mpdus)
         if self.shares:
             self._run_policy()
-        self._kick_macs()
+        for mac in self.macs:
+            self._sync(mac)
 
     # -- policy ------------------------------------------------------------
 
@@ -198,10 +199,13 @@ class MldDevice:
                 start += c
         self.pending.clear()
 
-    def _kick_macs(self):
-        for mac in self.macs:
-            if (mac.allocated if self.shares else self.pending):
-                mac.ensure_contending()
+    def _sync(self, mac: LinkMac):
+        """The one contention rule: a link contends exactly while its
+        queue (its share, or the shared pool) holds MPDUs."""
+        if mac.allocated if self.shares else self.pending:
+            mac.ensure_contending()
+        else:
+            mac.abort_contention()
 
     # -- transmission service (called by LinkMac) ---------------------------
 
@@ -211,12 +215,12 @@ class MldDevice:
             return None
         ampdu = aggregate(source, mac.pick_mcs(source[0].dst), mac.bandwidth)
         del source[:len(ampdu.mpdus)]
-        if not source and not self.shares:
-            # pool drained: siblings still counting down backoff have
-            # nothing to send, stand them down until new frames arrive
+        if not source:
+            # a drained pool stands down the siblings still counting down
+            # backoff; the caller leaves contention once this returns
             for mc in self.macs:
                 if mc is not mac:
-                    mc.abort_contention()
+                    self._sync(mc)
         return ampdu
 
     def on_resolution(self, mac: LinkMac, ampdu: Ampdu, bitmap):
@@ -246,14 +250,11 @@ class MldDevice:
             requeue.extend(self.pending)
             requeue.sort(key=attrgetter("seq"))
             self.pending = requeue
-        if self.shares:
-            if self.pending:
-                self.restart_count += 1
-                self._run_policy()
-            for mc in self.macs:
-                if not mc.allocated:
-                    mc.abort_contention()
-        self._kick_macs()
+        if self.shares and self.pending:
+            self.restart_count += 1
+            self._run_policy()
+        for mc in self.macs:
+            self._sync(mc)
 
     # -- congestion sampling ---------------------------------------------------
 

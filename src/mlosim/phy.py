@@ -110,15 +110,6 @@ def error_probability(mcs: McsEntry, snr_db: float) -> float:
     return (2 - margin) / 4
 
 
-def mpdu_error(mcs: McsEntry, snr_db: float, rng) -> bool:
-    p = error_probability(mcs, snr_db)
-    if p <= 0.0:
-        return False
-    if p >= 1.0:
-        return True
-    return rng.random() < p
-
-
 def max_feasible_index(snr_db: float) -> int:
     """Highest index whose error probability is below 1 at this SNR."""
     best = 0

@@ -274,9 +274,10 @@ def _seed_task(args):
 
 
 def run_seeds(cfg: ScenarioConfig, workers: int = 1) -> list[DelayRecord]:
-    """One independent simulation per seed; records merged in seed order."""
+    """One independent simulation per seed; records merged in seed order.
+    The pool starts all its workers at once, so it gets no more than seeds."""
     if workers > 1 and len(cfg.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(cfg.seeds))) as pool:
             results = list(pool.map(_seed_task, [(cfg, s) for s in cfg.seeds]))
     else:
         results = [run_one(cfg, seed) for seed in cfg.seeds]

@@ -262,7 +262,10 @@ def test_capacity_outputs(tmp_path, capsys):
     per_n = (out / "per_n.csv").read_text().splitlines()
     assert per_n[0] == "n,stream,worst_p99_us,pdb_us,verdict"
     assert len(per_n) == 1 + 2 * 3  # two probed n values x three streams
-    assert "max_sta=2" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "max_sta=2" in stdout
+    # both probes passed: the cap, not a failing probe, ended the search
+    assert "warning: no probe failed up to max_sta=2; capacity is at least 2" in stdout
 
 
 def test_capacity_reruns_from_manifest(tmp_path):
@@ -306,7 +309,9 @@ def test_capacity_zero_warns(tmp_path, capsys):
            "max_sta": 2, "traffic": {"dl_video": {"pdb_us": 50}}}
     code, out = run_cli(tmp_path, "capacity", cfg)
     assert code == 0
-    assert "capacity is 0" in capsys.readouterr().out
+    stdout = capsys.readouterr().out
+    assert "capacity is 0" in stdout
+    assert "no probe failed" not in stdout
     assert "max_sta=0" in (out / "capacity.txt").read_text()
 
 

@@ -71,6 +71,11 @@ CASES = {
         {**STRESS, "policy": "condition", "links": "2x40", "count_own_tx": False},
         "4d2aae37fec5f9880c91c897ef8b8b7d1c897b13a6e3098779c658dd313e1da4",
         "1eeb0c433b4a7afdedbf4f3a619f2a08b37234e031ccceee7514baf2ce5945b7"),
+    # own airtime subtracted on four links, where shares restart most
+    "stress-congestion-4x20-rx-only": (
+        {**STRESS, "policy": "congestion", "links": "4x20", "count_own_tx": False},
+        "ef2a130b69c3cb5cf06cce908c32db970ebbbad29433babb440845da540ee731",
+        "bb5ea5c0b153fb6a337fda65970dbfb9100b0e7370eb4811e0588886ce47d0e6"),
     "stress-greedy-2x40-cap64": (
         {**STRESS, "policy": "greedy", "links": "2x40", "buffer_cap": 64},
         "4858c80eb3e49a5ac1264229ec73e00b5af9f2867ded137f4b62dd378a3890a3",

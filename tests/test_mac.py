@@ -2,7 +2,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from mlosim import phy
-from mlosim.engine import Simulator
+from mlosim.engine import Simulator, rng_stream
 from mlosim.mac import (
     ACK_TIMEOUT_US,
     BLOCK_ACK_US,
@@ -13,6 +13,7 @@ from mlosim.mac import (
     MAX_AMPDU_US,
     SIFS_US,
     Ampdu,
+    BusyTime,
     LinkMac,
     Medium,
     aggregate,
@@ -211,7 +212,7 @@ def test_freeze_consumes_whole_slots_only():
     sim.run_until(10_000)
     # 2 of 5 slots consumed; resume at 155: DIFS to 189 + 3 slots
     assert owner.grant_times == [189 + 27]
-    assert mac.state == "idle"  # empty queue relinquishes
+    assert mac not in medium.contenders  # empty queue relinquishes
 
 
 def test_permanently_busy_medium_starves():
@@ -222,7 +223,7 @@ def test_permanently_busy_medium_starves():
     sim.schedule(5, mac.ensure_contending)
     sim.run_until(1_000_000)
     assert owner.grant_times == []
-    assert mac.state == "contend"
+    assert mac in medium.contenders
 
 
 def test_second_contender_defers_through_blockack():
@@ -295,10 +296,73 @@ def test_abort_contention_cancels_pending_grant():
     sim.schedule(40, mac.abort_contention)
     sim.run_until(10_000)
     assert owner.grant_times == []
-    assert medium.contenders == []
+    assert medium.contenders == {}
+
+
+# -- error draw --------------------------------------------------------
+
+class CountingRng:
+    """Error stream that counts its draws."""
+
+    def __init__(self, seed=0):
+        self.rng = rng_stream(seed, "phy.err.link0")
+        self.draws = 0
+
+    def random(self):
+        self.draws += 1
+        return self.rng.random()
+
+
+def ampdu_at_margin(mac, margin_db, n=10):
+    """n MPDUs at MCS 5 to a peer whose SNR sits margin_db off its threshold."""
+    mcs = phy.MCS_TABLE[5]
+    mac.peers[0].snr_db = mcs.min_snr_db + margin_db
+    return Ampdu([None] * n, 100, 0, mcs)
+
+
+def test_decode_bitmap_draws_nothing_outside_ramp():
+    sim, medium, (mac,), _ = setup_link()
+    medium.err_rng = rng = CountingRng()
+    assert mac.decode_bitmap(ampdu_at_margin(mac, 5)) == [True] * 10
+    assert mac.decode_bitmap(ampdu_at_margin(mac, -5)) == [False] * 10
+    assert rng.draws == 0
+
+
+def test_decode_bitmap_error_rate_matches_probability():
+    sim, medium, (mac,), _ = setup_link()
+    medium.err_rng = rng = CountingRng()
+    ampdu = ampdu_at_margin(mac, 1, n=20_000)  # p = 0.25
+    bitmap = mac.decode_bitmap(ampdu)
+    assert rng.draws == len(bitmap) == 20_000  # one draw per MPDU
+    assert abs(bitmap.count(False) / 20_000 - 0.25) < 0.02
 
 
 # -- busy-time accounting ----------------------------------------------
+
+def brute_force_busy(intervals, t):
+    """Microseconds of [0, t] covered by the union of the intervals."""
+    covered = set()
+    for start, end in intervals:
+        covered.update(range(start, min(end, t)))
+    return len(covered)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 400)), min_size=1,
+                max_size=12),
+       st.integers(0, 500))
+def test_busy_time_total_matches_interval_union(steps, past_last):
+    # starts as non-decreasing gaps, each interval some length past its start
+    intervals, start = [], 0
+    for gap, length in steps:
+        start += gap
+        intervals.append((start, start + length))
+    busy = BusyTime()
+    for s, e in intervals:
+        busy.mark(s, e)
+    t = intervals[-1][0] + past_last
+    assert busy.total(t) == brute_force_busy(intervals, t)
+
 
 def test_busy_total_counts_data_and_ba_not_gaps():
     sim, medium, (mac,), (owner,) = setup_link()
@@ -318,8 +382,8 @@ def test_own_tx_attribution_sender_and_ba_receiver():
     oa.queue = make_mpdus(7500, station=b.device, stream=DL)  # addressed to b
     a.ensure_contending()
     sim.run_until(10_000)
-    assert a.own_tx_total(10_000) == DUR_5
-    assert b.own_tx_total(10_000) == BLOCK_ACK_US
+    assert a.own.total(10_000) == DUR_5
+    assert b.own.total(10_000) == BLOCK_ACK_US
     assert a.sensed_busy_total(10_000, count_own_tx=False) == BLOCK_ACK_US
     assert b.sensed_busy_total(10_000, count_own_tx=False) == DUR_5
     assert a.sensed_busy_total(10_000, count_own_tx=True) == DUR_5 + BLOCK_ACK_US

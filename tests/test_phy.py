@@ -14,7 +14,6 @@ from mlosim.phy import (
     RateSelector,
     error_probability,
     max_feasible_index,
-    mpdu_error,
     path_loss,
     snr,
     tx_duration,
@@ -99,20 +98,6 @@ def test_error_probability_ramp():
     assert error_probability(e, e.min_snr_db) == 0.5
     assert error_probability(e, e.min_snr_db + 1) == 0.25
     assert error_probability(e, e.min_snr_db - 1) == 0.75
-
-
-def test_mpdu_error_deterministic_outside_ramp():
-    e = MCS_TABLE[5]
-    rng = rng_stream(0, "phy.err.link0")
-    assert not any(mpdu_error(e, e.min_snr_db + 5, rng) for _ in range(100))
-    assert all(mpdu_error(e, e.min_snr_db - 5, rng) for _ in range(100))
-
-
-def test_mpdu_error_rate_matches_probability():
-    e = MCS_TABLE[5]
-    rng = rng_stream(0, "phy.err.link0")
-    hits = sum(mpdu_error(e, e.min_snr_db, rng) for _ in range(20_000))
-    assert abs(hits / 20_000 - 0.5) < 0.02
 
 
 def test_in_cell_stations_reach_mcs7_error_free():

@@ -1,8 +1,10 @@
 import math
 import statistics
+from dataclasses import replace
 
 import pytest
 
+from mlosim import scenario
 from mlosim.scenario import (
     Deployment,
     Experiment,
@@ -14,6 +16,7 @@ from mlosim.scenario import (
     run_seeds,
     streams_of,
 )
+from mlosim.mld import POLICIES
 from mlosim.stats import evaluate, format_records, all_pass
 
 
@@ -128,6 +131,31 @@ def test_mlo_wiring_counts():
     assert carriers == [5.2, 5.5, 6.1, 6.5]
 
 
+@pytest.mark.parametrize("policy", POLICIES)
+def test_link_contends_exactly_while_its_queue_holds_mpdus(policy):
+    # stressed: ten stations, short update period, so shares restart often
+    links = "80" if policy == "sl" else "2x40"
+    cfg = cfg_with(policy=policy, links=links, n_sta=10, sim_duration_s=0.5,
+                   activation_window_s=0.1, update_period_s=0.1)
+    exp = Experiment(cfg, seed=0)
+    checks = []
+
+    def check():
+        for dev in exp.devices.values():
+            for mac in dev.macs:
+                queue = mac.allocated if dev.shares else dev.pending
+                if mac in mac.medium.contenders:
+                    assert queue and mac.in_flight is None
+                else:
+                    assert not queue or mac.in_flight is not None
+        checks.append(exp.sim.now)
+        exp.sim.schedule(exp.sim.now + 97, check)
+
+    exp.sim.schedule(0, check)
+    exp.run()
+    assert len(checks) > 5000
+
+
 def test_snr_symmetry_and_coverage():
     cfg = cfg_with(n_sta=3)
     exp = Experiment(cfg, seed=2)
@@ -200,6 +228,32 @@ def test_run_seeds_parallel_equals_serial():
     cfg = cfg_with(n_sta=1, sim_duration_s=1.0, activation_window_s=0.2,
                    seeds=(1, 2))
     assert run_seeds(cfg, workers=2) == run_seeds(cfg, workers=1)
+
+
+def test_run_seeds_pool_capped_at_seed_count(monkeypatch):
+    # the pool forks all its workers at the first submit: a fake records
+    # max_workers and runs the tasks in this process, starting none
+    seen = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", FakePool)
+    cfg = cfg_with(n_sta=1, sim_duration_s=1.0, activation_window_s=0.2,
+                   seeds=(1, 2))
+    assert run_seeds(cfg, workers=200) == run_seeds(cfg, workers=1)
+    run_seeds(replace(cfg, seeds=(1, 2, 3)), workers=2)
+    assert seen == [2, 2]
 
 
 def test_overload_marks_frames_lost():

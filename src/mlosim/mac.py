@@ -18,9 +18,10 @@ overlapped PPDU, and no BlockAck is returned.  Two transmissions can only
 overlap by starting in the same microsecond, because a grant scheduled for
 a later instant is frozen the moment the medium turns busy.
 
-A MAC contends exactly while it is in its medium's contender table and
-transmits exactly while its PPDU is in flight.  Busy time (data plus
-BlockAck airtime, not interframe gaps) is a coalesced `BusyTime` that
+A MAC contends exactly while it is in its medium's contender table, where
+its upper MAC keeps it while it has MPDUs for it, so every grant sends a
+PPDU; it transmits exactly while that PPDU is in flight.  Busy time (data
+plus BlockAck airtime, not interframe gaps) is a coalesced `BusyTime` that
 estimators read for any period in O(1): one per medium, and one per MAC
 for the device's own airtime, which one estimator mode subtracts.
 """
@@ -212,7 +213,6 @@ class LinkMac:
         self.backoff_rng = sim.stream(f"mac.backoff.dev{device}.link{self.link_index}")
         self.rate_rng = sim.stream(f"phy.rate.dev{device}.link{self.link_index}")
         self.peers: dict[int, phy.RateSelector] = {}  # by peer device id
-        self.allocated: list[Mpdu] = []
         self.cw = CW_MIN
         self.backoff = 0
         self.difs_end = 0
@@ -270,10 +270,8 @@ class LinkMac:
 
     def _on_grant(self):
         self.grant = None
-        ampdu = self.owner.build_ampdu(self)
         del self.medium.contenders[self]
-        if ampdu is None:
-            return
+        ampdu = self.owner.build_ampdu(self)
         self.in_flight = ampdu
         now = self.sim.now
         self.own.mark(now, now + ampdu.duration_us)

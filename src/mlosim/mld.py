@@ -1,22 +1,24 @@
 """Upper MAC of a multi-link device: shared buffer and link allocation.
 
-A device (AP or STA) owns one MPDU pool shared by all of its link MACs.
-Five allocation behaviors are supported:
+A device (AP or STA) owns one MPDU pool and one queue per link MAC; a
+link contends exactly while its queue holds MPDUs.  The five policies
+differ only in how the pool maps onto the queues:
 
-- sl: degenerate single-link device; the one link drains the pool.
-- greedy: every link contends whenever the pool is non-empty; the link
-  that wins an access pulls the largest sendable prefix at that moment.
-- uniform: the pool is pre-split across links in equal shares.
+- sl: degenerate single-link device; its one queue is the pool.
+- greedy: every link's queue is the pool; the link that wins an access
+  pulls the largest sendable prefix at that moment.
+- uniform: each link has its own queue; the pool is split into them in
+  equal shares, which empties it.
 - congestion: shares proportional to each link's estimated free time
   (update period minus moving-average busy time).
 - condition: shares proportional to free time times the data rate the
   link's rate selector would use next.
 
 The pre-splitting policies re-run on every BlockAck or timeout
-resolution: all MPDUs still waiting on any link are recalled and the full
-pool is redistributed.  A link whose share lands on a busy medium simply
-keeps the MPDUs parked until the next restart, which is what starves
-transfers when one link never wins access.
+resolution: all MPDUs still waiting in any link's queue are recalled and
+the full pool is split again.  A link whose share lands on a busy medium
+simply keeps the MPDUs parked until the next restart, which is what
+starves transfers when one link never wins access.
 
 stats.record puts a frame's outcome on the frame: its delay once the
 BlockAck confirming its last fragment completes, or LOST when the buffer
@@ -124,13 +126,13 @@ def _congestion_shares(dev: "MldDevice", n: int) -> list[int]:
 
 
 def _condition_shares(dev: "MldDevice", n: int) -> list[int]:
-    dest = dev.pending[0].dst
+    dest = dev.pool[0].dst
     return split_weighted(n, [est.free_time_us() * mac.decided_rate(dest)
                               for est, mac in zip(dev.estimators, dev.macs)])
 
 
 # Share rules of the pre-splitting policies: per-link MPDU counts for the
-# n pending MPDUs.  sl and greedy have none; their links drain the pool.
+# n pooled MPDUs.  sl and greedy have none; their queues are the pool.
 SHARE_RULES = {
     UNIFORM: _uniform_shares,
     CONGESTION: _congestion_shares,
@@ -156,7 +158,8 @@ class MldDevice:
         self.macs: list[LinkMac] = []
         self.estimators: list[CongestionEstimate] = []
         self._busy_snapshots: list[int] = []
-        self.pending: list = []
+        self.pool: list = []  # seq-ordered; only a staging list under a split
+        self.queues: dict[LinkMac, list] = {}  # each link's queue, in mac order
         self.mpdu_load = 0
         self._seq = 0
         self.restart_count = 0
@@ -164,6 +167,7 @@ class MldDevice:
 
     def add_mac(self, mac: LinkMac):
         self.macs.append(mac)
+        self.queues[mac] = [] if self.shares else self.pool
         self.estimators.append(CongestionEstimate(self.update_period_us, self.ma_window))
         self._busy_snapshots.append(0)
 
@@ -182,45 +186,41 @@ class MldDevice:
             self._seq += 1
         self.mpdu_load += len(mpdus)
         frame.mpdus_left = len(mpdus)
-        self.pending.extend(mpdus)
+        self.pool.extend(mpdus)
         if self.shares:
-            self._run_policy()
-        for mac in self.macs:
-            self._sync(mac)
+            self._split()
+        self._sync()
 
     # -- policy ------------------------------------------------------------
 
-    def _run_policy(self):
-        counts = self.shares(self, len(self.pending))
+    def _split(self):
+        counts = self.shares(self, len(self.pool))
         start = 0
-        for mac, c in zip(self.macs, counts):
+        for queue, c in zip(self.queues.values(), counts):
             if c:
-                mac.allocated.extend(self.pending[start:start + c])
+                queue.extend(self.pool[start:start + c])
                 start += c
-        self.pending.clear()
+        self.pool.clear()
 
-    def _sync(self, mac: LinkMac):
-        """The one contention rule: a link contends exactly while its
-        queue (its share, or the shared pool) holds MPDUs."""
-        if mac.allocated if self.shares else self.pending:
-            mac.ensure_contending()
-        else:
-            mac.abort_contention()
+    def _sync(self):
+        """The one contention rule: a link contends while its queue holds MPDUs."""
+        for mac, queue in self.queues.items():
+            if queue:
+                mac.ensure_contending()
+            else:
+                mac.abort_contention()
 
     # -- transmission service (called by LinkMac) ---------------------------
 
-    def build_ampdu(self, mac: LinkMac):
-        source = mac.allocated if self.shares else self.pending
-        if not source:
-            return None
-        ampdu = aggregate(source, mac.pick_mcs(source[0].dst), mac.bandwidth)
-        del source[:len(ampdu.mpdus)]
-        if not source:
-            # a drained pool stands down the siblings still counting down
-            # backoff; the caller leaves contention once this returns
-            for mc in self.macs:
-                if mc is not mac:
-                    self._sync(mc)
+    def build_ampdu(self, mac: LinkMac) -> Ampdu:
+        queue = self.queues[mac]
+        ampdu = aggregate(queue, mac.pick_mcs(queue[0].dst), mac.bandwidth)
+        del queue[:len(ampdu.mpdus)]
+        if not queue:
+            # a drained pool stands down the other links backing off on it
+            for other, q in self.queues.items():
+                if q is queue and other is not mac:
+                    other.abort_contention()
         return ampdu
 
     def on_resolution(self, mac: LinkMac, ampdu: Ampdu, bitmap):
@@ -241,20 +241,20 @@ class MldDevice:
                 record(frame, LOST)
         # every MPDU not sent back to the pool has left the buffer
         self.mpdu_load -= len(ampdu.mpdus) - len(requeue)
-        # recall every share and merge it back into the seq-ordered pool
-        for mc in self.macs:
-            if mc.allocated:
-                requeue.extend(mc.allocated)
-                mc.allocated = []
+        if self.shares:
+            # recall every link's queue; the staging pool was empty
+            for queue in self.queues.values():
+                if queue:
+                    requeue += queue
+                    queue.clear()
         if requeue:
-            requeue.extend(self.pending)
-            requeue.sort(key=attrgetter("seq"))
-            self.pending = requeue
-        if self.shares and self.pending:
-            self.restart_count += 1
-            self._run_policy()
-        for mc in self.macs:
-            self._sync(mc)
+            # merged in place: under sl and greedy the pool is every queue
+            self.pool += requeue
+            self.pool.sort(key=attrgetter("seq"))
+            if self.shares:
+                self.restart_count += 1
+                self._split()
+        self._sync()
 
     # -- congestion sampling ---------------------------------------------------
 

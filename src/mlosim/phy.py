@@ -95,8 +95,6 @@ def tx_duration(payload_bytes: int, mcs: McsEntry, bandwidth_mhz: int) -> int:
 
     A rate of r Mb/s carries exactly r bits per microsecond.
     """
-    if payload_bytes <= 0:
-        return PREAMBLE_US
     return PREAMBLE_US + math.ceil(payload_bytes * 8 / mcs.data_rate(bandwidth_mhz))
 
 
@@ -185,14 +183,10 @@ class RateSelector:
             return 0.0
         return self._rates[index] * (self._sums[index] / len(w))
 
-    def peek_best(self) -> int:
-        """Exploit choice right now: the feasible index with the highest
-        estimate, ties to the lower index, or initial_index while no
-        feasible index has history.  Consumes no randomness."""
-        return self._best
-
     def decided_rate(self) -> float:
-        """Data rate (Mb/s) of the MCS the next exploit step would use."""
+        """Data rate (Mb/s) of the MCS the next exploit step would use: the
+        feasible index with the highest estimate, ties to the lower index, or
+        initial_index while no feasible index has history; consumes no randomness."""
         return self._rates[self._best]
 
     def select(self, rng) -> McsEntry:

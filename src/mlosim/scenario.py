@@ -107,7 +107,7 @@ class ScenarioConfig:
         for name in ("sim_duration_s", "activation_window_s", "update_period_s"):
             if not math.isfinite(getattr(self, name) * US_PER_SEC):
                 raise ValueError(f"{name} out of range")
-        if self.sim_duration_s <= self.activation_window_s:
+        if self.horizon_us <= self.activation_window_us:
             raise ValueError("sim_duration_s must exceed activation_window_s")
         if self.update_period_us < 1:
             raise ValueError("update_period_s must be at least 1 us")
@@ -122,6 +122,10 @@ class ScenarioConfig:
     @property
     def horizon_us(self) -> int:
         return int(self.sim_duration_s * US_PER_SEC)
+
+    @property
+    def activation_window_us(self) -> int:
+        return int(self.activation_window_s * US_PER_SEC)
 
     @property
     def update_period_us(self) -> int:
@@ -177,7 +181,7 @@ def deploy(cfg: ScenarioConfig, seed: int) -> Deployment:
     """Disk-uniform positions (r = R sqrt(u)) and uniform activations."""
     pos_rng = rng_stream(seed, "deploy.pos")
     act_rng = rng_stream(seed, "deploy.act")
-    window = int(cfg.activation_window_s * US_PER_SEC)
+    window = cfg.activation_window_us
     positions, activations = [], []
     for _ in range(cfg.n_sta):
         r = cfg.cell_radius_m * math.sqrt(pos_rng.random())

@@ -12,6 +12,7 @@ Times are integer microseconds, sizes integer bytes.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -62,11 +63,12 @@ class StreamConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        if self.data_rate_mbps <= 0:
-            raise ValueError("data_rate_mbps must be positive")
+        rate = self.data_rate_mbps
+        if type(rate) not in (int, float) or not 0 < rate < math.inf:
+            raise ValueError("data_rate_mbps must be a finite positive number")
         if isinstance(self.size_model, TruncGaussModel):
             nominal = self.size_model.mean * 8 / self.periodicity_us  # Mb/s
-            if abs(nominal - self.data_rate_mbps) / self.data_rate_mbps > 0.02:
+            if abs(nominal - rate) / rate > 0.02:
                 raise ValueError(f"size_model mean every periodicity_us offers {nominal:.3g} "
                                  f"Mb/s, inconsistent with data_rate_mbps")
         elif type(self.size_model) is not int or self.size_model < 1:

@@ -202,6 +202,7 @@ def sweep():
                            elapsed=time.perf_counter() - t0)
 
 
+@pytest.mark.slow
 def test_criterion_5_capacity_orderings(sweep):
     caps = {key: res.max_sta for key, res in sweep.searches.items()}
 
@@ -230,6 +231,7 @@ def test_criterion_5_capacity_orderings(sweep):
            f"[{sweep.duration:.0f}s probes, {len(sweep.seeds)} seeds]")
 
 
+@pytest.mark.slow
 def test_criterion_6_dl_stream_fails_first(sweep):
     for (policy, links), res in sweep.searches.items():
         n, verdicts, ok = res.per_n[-1]
@@ -301,6 +303,7 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
 
 # -- criterion 9 ----------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_9_runtime_budget(sweep):
     cfg = ScenarioConfig(policy="greedy", links="2x40", n_sta=6,
                          sim_duration_s=50.0, seeds=(0,))

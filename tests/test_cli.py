@@ -120,6 +120,7 @@ def test_run_names_unknown_traffic_field(tmp_path, capsys):
     ("fixed_mcs", "7"),
     ("fixed_mcs", 12),
     ("fixed_mcs", -1),
+    ("sim_duration_s", 0.1000001),  # same whole-us horizon as the 0.1 s window
 ])
 def test_resolve_config_rejects_out_of_range_knobs(key, value):
     with pytest.raises(cli.ConfigError, match=key):
@@ -139,6 +140,9 @@ def test_resolve_config_rejects_out_of_range_knobs(key, value):
     ("dl_video", "jitter_model", {"mean": 0, "std": 1, "min": -1, "max": 1}),
     ("dl_video", None, None),  # field None: value is the whole override
     ("dl_video", None, "pdb_us"),  # was read as the fields 'p', 'd', 'b', ...
+    ("ul_video", "data_rate_mbps", "x"),
+    ("ul_video", "data_rate_mbps", float("nan")),  # made the rate check vacuous
+    ("pose", "data_rate_mbps", True),  # a bool is no number
 ])
 def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
     # resolution only: a run with such a stream would exhaust memory

@@ -12,6 +12,7 @@ from mlosim.mac import (
     MAX_AMPDU_MPDUS,
     MAX_AMPDU_US,
     SIFS_US,
+    SLOT_US,
     Ampdu,
     BusyTime,
     LinkMac,
@@ -51,8 +52,6 @@ class StubOwner:
 
     def build_ampdu(self, mac):
         self.grant_times.append(self.sim.now)
-        if not self.queue:
-            return None
         ampdu = aggregate(self.queue, mac.pick_mcs(self.queue[0].dst), mac.bandwidth)
         del self.queue[:len(ampdu.mpdus)]
         return ampdu
@@ -207,12 +206,13 @@ def test_contender_arriving_on_busy_medium_waits_for_idle():
 def test_freeze_consumes_whole_slots_only():
     sim, medium, (mac,), (owner,) = setup_link()
     mac.backoff_rng = FixedRng([5])
+    owner.queue = make_mpdus(7500)
     mac.ensure_contending()  # difs_end 34, grant would be at 79
     sim.schedule(55, medium.inject_busy, 100)  # 21 us idle = 2 full slots
     sim.run_until(10_000)
     # 2 of 5 slots consumed; resume at 155: DIFS to 189 + 3 slots
     assert owner.grant_times == [189 + 27]
-    assert mac not in medium.contenders  # empty queue relinquishes
+    assert mac not in medium.contenders  # a grant leaves contention
 
 
 def test_permanently_busy_medium_starves():
@@ -423,3 +423,72 @@ def test_collided_ppdus_count_once_in_busy_time():
     b.ensure_contending()
     sim.run_until(10_000)
     assert medium.busy_total(10_000) == DUR_5  # overlap coalesced, no BA
+
+
+# -- saturation against Bianchi's model ----------------------------------
+
+def bianchi(n, ppdu_us, payload_bits):
+    """(collision probability, throughput in Mb/s) of n saturated DCF
+    stations: G. Bianchi, IEEE JSAC 18(3), 2000.  W = CW_MIN + 1 and
+    m = 6 backoff stages reach CW_MAX; the fixed point in p is found by
+    bisection."""
+    w, m = CW_MIN + 1, 6
+    assert w * 2 ** m - 1 == CW_MAX
+
+    def tau_of(p):  # Bianchi's (7), its 1 - 2p factor divided out
+        return 2 / (1 + w + p * w * sum((2 * p) ** i for i in range(m)))
+
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        p = (lo + hi) / 2
+        if 1 - (1 - tau_of(p)) ** (n - 1) > p:
+            lo = p
+        else:
+            hi = p
+    tau = tau_of(p)
+    p_tr = 1 - (1 - tau) ** n  # some station transmits in a slot
+    p_s = n * tau * (1 - tau) ** (n - 1) / p_tr  # exactly one does
+    t_s = ppdu_us + SIFS_US + BLOCK_ACK_US + DIFS_US
+    t_c = ppdu_us + DIFS_US
+    slot = (1 - p_tr) * SLOT_US + p_tr * p_s * t_s + p_tr * (1 - p_s) * t_c
+    return p, p_s * p_tr * payload_bits / slot
+
+
+class SaturatedOwner:
+    """Upper MAC whose queue never empties: 8 x 1500 B in every PPDU."""
+
+    def __init__(self, station):
+        frame = make_mpdus(1500, station=station)[0].frame
+        self.mpdus = [Mpdu(frame, i, 1500, 0) for i in range(8)]
+        self.ppdus = self.collided = self.delivered_bits = 0
+
+    def build_ampdu(self, mac):
+        self.ppdus += 1
+        return aggregate(self.mpdus, mac.pick_mcs(0), mac.bandwidth)
+
+    def on_resolution(self, mac, ampdu, bitmap):
+        if bitmap is None:
+            self.collided += 1
+        else:
+            self.delivered_bits += 8 * sum(m.payload for m in ampdu.mpdus)
+        mac.ensure_contending()
+
+
+@pytest.mark.parametrize("n", [2, 10, 30])
+def test_saturated_dcf_matches_bianchi(n):
+    # a collided sender rejoins ACK_TIMEOUT_US after its PPDU, the others
+    # after DIFS, so the simulated p sits slightly below the model's
+    sim = Simulator(seed=n)
+    medium = Medium(sim, phy.LinkSpec(5.5, 80), 0)
+    owners = [SaturatedOwner(d) for d in range(1, n + 1)]
+    for d, owner in enumerate(owners, 1):
+        mac = LinkMac(sim, medium, d, owner, fixed_mcs=11)
+        mac.add_peer(0, 100.0)  # no noise errors at MCS 11
+        mac.ensure_contending()
+    duration_us = 5_000_000
+    sim.run_until(duration_us)
+    p_sim = sum(o.collided for o in owners) / sum(o.ppdus for o in owners)
+    s_sim = sum(o.delivered_bits for o in owners) / duration_us
+    p_model, s_model = bianchi(n, phy.tx_duration(12_000, MCS11_80, 80), 96_000)
+    assert abs(p_sim - p_model) <= 0.05
+    assert abs(s_sim - s_model) <= 0.05 * s_model

@@ -55,8 +55,7 @@ def spy_transmissions(sim, dev):
 
     def wrapper(mac):
         ampdu = orig(mac)
-        if ampdu is not None:
-            sent.append((sim.now, mac.link_index, len(ampdu.mpdus)))
+        sent.append((sim.now, mac.link_index, len(ampdu.mpdus)))
         return ampdu
 
     dev.build_ampdu = wrapper
@@ -183,15 +182,15 @@ def test_sl_requires_single_link():
 def test_uniform_presplits_across_links():
     sim, media, dev = make_device("uniform", n_links=2)
     dev.on_frame(dl_frame(21000))  # 14 MPDUs
-    assert [len(m.allocated) for m in dev.macs] == [7, 7]
-    assert dev.pending == []
+    assert [len(q) for q in dev.queues.values()] == [7, 7]
+    assert dev.pool == []
 
 
 def test_greedy_leaves_pool_shared():
     sim, media, dev = make_device("greedy", n_links=2)
     dev.on_frame(dl_frame(21000))
-    assert [len(m.allocated) for m in dev.macs] == [0, 0]
-    assert len(dev.pending) == 14
+    assert all(q is dev.pool for q in dev.queues.values())
+    assert len(dev.pool) == 14
 
 
 def test_congestion_allocation_follows_free_time():
@@ -200,14 +199,14 @@ def test_congestion_allocation_follows_free_time():
         dev.estimators[0].update(200_000)  # free 0.3 s
         dev.estimators[1].update(300_000)  # free 0.2 s
     dev.on_frame(dl_frame(15000, index=0))  # 10 MPDUs
-    assert [len(m.allocated) for m in dev.macs] == [6, 4]
+    assert [len(q) for q in dev.queues.values()] == [6, 4]
 
 
 def test_condition_allocation_weighs_data_rate():
     # MCS 7 on link 0 (344 Mb/s at 80 MHz), MCS 4 on link 1 (206.4 Mb/s)
     sim, media, dev = make_device("condition", n_links=2, link_mcs=(7, 4))
     dev.on_frame(dl_frame(15000))  # equal free time; 10 MPDUs
-    assert [len(m.allocated) for m in dev.macs] == [6, 4]
+    assert [len(q) for q in dev.queues.values()] == [6, 4]
 
 
 def test_condition_equal_rates_reduces_to_congestion():
@@ -216,7 +215,7 @@ def test_condition_equal_rates_reduces_to_congestion():
         dev.estimators[0].update(200_000)
         dev.estimators[1].update(300_000)
     dev.on_frame(dl_frame(15000))
-    assert [len(m.allocated) for m in dev.macs] == [6, 4]
+    assert [len(q) for q in dev.queues.values()] == [6, 4]
 
 
 def test_greedy_single_access_for_one_frame():
@@ -271,10 +270,11 @@ def test_sap_restart_preserves_sequence_order():
     media[1].inject_busy(10**9)
     dev.on_frame(dl_frame(21000))
     sim.run_until(2_000)  # partway through the drain
-    seqs = [m.seq for m in dev.macs[0].allocated] + [m.seq for m in dev.macs[1].allocated]
-    assert dev.macs[0].allocated == sorted(dev.macs[0].allocated, key=lambda m: m.seq)
-    if dev.macs[0].allocated and dev.macs[1].allocated:
-        assert dev.macs[0].allocated[-1].seq < dev.macs[1].allocated[0].seq
+    q0, q1 = dev.queues.values()
+    seqs = [m.seq for m in q0] + [m.seq for m in q1]
+    assert q0 == sorted(q0, key=lambda m: m.seq)
+    if q0 and q1:
+        assert q0[-1].seq < q1[0].seq
     assert seqs == sorted(seqs)
 
 
@@ -321,7 +321,7 @@ def test_sibling_delivered_after_retry_exhaustion_keeps_frame_lost(monkeypatch):
     mac = dev.macs[0]
     frame = dl_frame(6000)  # 4 MPDUs
     dev.on_frame(frame)
-    dev.pending[0].retries = dev.pending[1].retries = RETRY_LIMIT
+    dev.pool[0].retries = dev.pool[1].retries = RETRY_LIMIT
     first = dev.build_ampdu(mac)
     assert len(first.mpdus) == 4
     # fragments 0 and 1 exhaust their retries, 2 and 3 are requeued
@@ -342,7 +342,7 @@ def test_conservation_across_allocation_and_restart():
         dev.on_frame(frame)
 
     def in_system():
-        q = len(dev.pending) + sum(len(m.allocated) for m in dev.macs)
+        q = len(dev.pool) + sum(len(queue) for queue in dev.queues.values())
         q += sum(len(m.in_flight.mpdus) for m in dev.macs if m.in_flight)
         return q
 

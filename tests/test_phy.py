@@ -116,7 +116,7 @@ def test_max_feasible_index_tracks_snr():
 
 def test_fresh_selector_starts_at_initial_index():
     sel = RateSelector(80, 100.0)
-    assert sel.peek_best() == 4
+    assert sel.decided_rate() == MCS_TABLE[4].data_rate(80)
     rng = rng_stream(0, "phy.rate.dev1.link0")
     picks = {sel.select(rng).index for _ in range(200)}
     assert 4 in picks  # exploit steps
@@ -128,7 +128,7 @@ def test_all_success_history_exploits_highest_rate():
     for e in MCS_TABLE:
         for _ in range(5):
             sel.record(e.index, 1.0)
-    assert sel.peek_best() == 11
+    assert sel.decided_rate() == MCS_TABLE[11].data_rate(80)
 
 
 def test_failing_mcs_avoided_when_alternative_succeeds():
@@ -136,7 +136,7 @@ def test_failing_mcs_avoided_when_alternative_succeeds():
     for _ in range(25):
         sel.record(11, 0.0)
         sel.record(7, 1.0)
-    assert sel.peek_best() == 7
+    assert sel.decided_rate() == MCS_TABLE[7].data_rate(80)
 
 
 def test_estimate_uses_exactly_last_window():
@@ -215,19 +215,20 @@ INDEXES = st.integers(0, 11) | st.integers(0, 3)
 @given(st.sampled_from([100.0, 30.0, 20.0, 8.0]),  # feasible up to 11, 9, 6, 2
        st.none() | st.integers(0, 11),
        st.lists(st.tuples(INDEXES, FRACTIONS), max_size=250))
-def test_peek_best_matches_rescan_after_every_record(snr_db, fixed_mcs, records):
+def test_decided_rate_matches_rescan_after_every_record(snr_db, fixed_mcs, records):
+    # MCS rates strictly increase with the index, so equal rates mean equal indexes
     sel = RateSelector(20, snr_db, fixed_mcs)
-    assert sel.peek_best() == rescan_best(sel)
+    feasible_rates = [MCS_TABLE[i].data_rate(20) for i in sel.feasible]
+    assert sel.decided_rate() == MCS_TABLE[rescan_best(sel)].data_rate(20)
     for index, fraction in records:
         sel.record(index, fraction)
-        assert sel.peek_best() == rescan_best(sel)
-        assert sel.peek_best() in sel.feasible
+        assert sel.decided_rate() == MCS_TABLE[rescan_best(sel)].data_rate(20)
+        assert sel.decided_rate() in feasible_rates
 
 
-def test_decided_rate_matches_peek():
+def test_decided_rate_follows_one_record():
     sel = RateSelector(40, 100.0)
     sel.record(6, 1.0)
-    assert sel.peek_best() == 6
     assert sel.decided_rate() == pytest.approx(MCS_TABLE[6].data_rate(40))
 
 

@@ -142,12 +142,16 @@ def test_link_contends_exactly_while_its_queue_holds_mpdus(policy):
 
     def check():
         for dev in exp.devices.values():
-            for mac in dev.macs:
-                queue = mac.allocated if dev.shares else dev.pending
+            for mac, queue in dev.queues.items():
                 if mac in mac.medium.contenders:
                     assert queue and mac.in_flight is None
                 else:
                     assert not queue or mac.in_flight is not None
+            # conservation: every admitted MPDU is queued once or in flight
+            distinct = {id(q): q for q in (dev.pool, *dev.queues.values())}
+            held = sum(len(q) for q in distinct.values())
+            held += sum(len(m.in_flight.mpdus) for m in dev.macs if m.in_flight)
+            assert held == dev.mpdu_load
         checks.append(exp.sim.now)
         exp.sim.schedule(exp.sim.now + 97, check)
 

@@ -70,17 +70,19 @@ def _reject_set_keys(raw: dict, keys, command: str) -> None:
 def resolve_config(raw: dict, seeds=None, extra_keys=()) -> ScenarioConfig:
     """Build a validated ScenarioConfig from a parsed config dict.
 
-    seeds, when given, overrides the config's seed list (the --seeds flag).
-    extra_keys lists command-specific keys tolerated alongside the scenario
-    ones.
+    seeds, when given, overrides the config's seed list (the --seeds flag);
+    the config's own list is checked first all the same.  extra_keys lists
+    command-specific keys tolerated alongside the scenario ones.
     """
     _check_keys(raw, SCENARIO_KEYS + tuple(extra_keys))
-    seeds = raw.get("seeds", ScenarioConfig.seeds) if seeds is None else seeds
-    if not isinstance(seeds, (list, tuple)):
+    if not isinstance(raw.get("seeds", ()), (list, tuple)):
         raise ConfigError("config key 'seeds' must be a list")
     kwargs = {key: raw[key] for key in SCENARIO_KEYS if key in raw}
+    if "seeds" in kwargs:
+        kwargs["seeds"] = tuple(kwargs["seeds"])
     try:
-        return ScenarioConfig(**{**kwargs, "seeds": tuple(seeds)})
+        cfg = ScenarioConfig(**kwargs)
+        return cfg if seeds is None else replace(cfg, seeds=tuple(seeds))
     except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(str(e))
 
@@ -111,14 +113,15 @@ def write_manifest(out_dir: Path, command: str, config_path, cfg_echo: dict,
     write_atomic(out_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
-def _write_run_outputs(out_dir: Path, rows, streams) -> list:
+def _write_run_outputs(out_dir: Path, rows, streams) -> str:
+    """Write delays.csv, the CCDFs and summary.txt; return the summary."""
     write_atomic(out_dir / "delays.csv", format_records(rows))
     for s in streams:
         ccdf = export_ccdf(rows, s.kind)
         write_atomic(out_dir / f"ccdf_{s.kind}.csv", format_ccdf(ccdf))
-    verdicts = evaluate(rows, streams)
-    write_atomic(out_dir / "summary.txt", format_summary(verdicts))
-    return verdicts
+    summary = format_summary(evaluate(rows, streams))
+    write_atomic(out_dir / "summary.txt", summary)
+    return summary
 
 
 def cmd_run(args) -> int:
@@ -127,11 +130,10 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     rows = run_seeds(cfg, workers=args.workers)
-    verdicts = _write_run_outputs(out_dir, rows, streams_of(cfg))
+    summary = _write_run_outputs(out_dir, rows, streams_of(cfg))
     write_manifest(out_dir, "run", args.config, config_to_dict(cfg),
                    time.perf_counter() - t0)
-    for line in format_summary(verdicts).splitlines():
-        print(line)
+    print(summary, end="")
     return EXIT_OK
 
 
@@ -173,8 +175,7 @@ def capacity_search(base_cfg: ScenarioConfig, max_n: int = MAX_STA,
     """
     per_n = []
     max_sta = 0
-    n = 1
-    while n <= max_n:
+    for n in range(1, max_n + 1):
         cfg = replace(base_cfg, n_sta=n)
         verdicts = evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
         ok = all_pass(verdicts)
@@ -184,11 +185,6 @@ def capacity_search(base_cfg: ScenarioConfig, max_n: int = MAX_STA,
         if not ok:
             break
         max_sta = n
-        n += 1
-    else:
-        log.warning("capacity sweep hit max_n=%d without failing", max_n)
-    if max_sta == 0:
-        log.warning("capacity 0: n=1 already fails for policy=%s", base_cfg.policy)
     return CapacityResult(base_cfg.policy, base_cfg.links, max_sta, per_n)
 
 
@@ -205,8 +201,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep config requires key 'sta_counts'")
     if any(type(n) is not int or n < 1 for n in sta_counts):
         raise ConfigError("config key 'sta_counts' must be a list of positive integers")
-    base_cfg = resolve_config({k: v for k, v in raw.items() if k not in SWEEP_KEYS},
-                              seeds=args.seeds)
+    base_cfg = resolve_config(raw, seeds=args.seeds, extra_keys=SWEEP_KEYS)
     cells = {}  # (policy, links, n) -> checked config; a repeated cell runs once
     for policy in policies:
         for name in link_sets:
@@ -232,8 +227,7 @@ def cmd_sweep(args) -> int:
     for (policy, links, n), cfg in cells.items():
         try:
             verdicts = evaluate(run_seeds(cfg, workers=args.workers), streams_of(cfg))
-            by_kind = {v.stream: v for v in verdicts}
-            p99s = [format_delay(by_kind[k].worst_p99_us) for k in kinds]
+            p99s = [format_delay(v.worst_p99_us) for v in verdicts]
             overall = "PASS" if all_pass(verdicts) else "FAIL"
         except Exception as e:
             log.error("sweep cell (%s, %s, %d) failed: %s", policy, links, n, e)

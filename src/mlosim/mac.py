@@ -12,6 +12,8 @@ medium is busy, binary exponential backoff on acknowledgment timeout.
 Data goes out as AMPDUs bounded by both a 64-MPDU count limit and a
 5.484 ms airtime limit; delivery is confirmed by a fixed-duration
 BlockAck that the receiver returns one SIFS after a non-collided PPDU.
+Every exchange ends in `LinkMac.resolve`, with the BlockAck bitmap or,
+after an acknowledgment timeout, with None.
 
 Collisions are capture-free: any overlap corrupts every MPDU of every
 overlapped PPDU, and no BlockAck is returned.  Two transmissions can only
@@ -114,7 +116,6 @@ class BusyTime:
 class _Tx:
     mac: "LinkMac | None"  # None marks injected foreign occupancy
     ampdu: Ampdu | None
-    start: int
     end: int
     collided: bool = False
 
@@ -160,24 +161,22 @@ class Medium:
 
     def _occupy(self, mac, ampdu, duration_us: int):
         now = self.sim.now
-        tx = _Tx(mac, ampdu, now, now + duration_us)
+        tx = _Tx(mac, ampdu, now + duration_us)
         for other in self.active:  # any overlap corrupts both PPDUs
             other.collided = True
             tx.collided = True
         self.active.append(tx)
-        self.busy.mark(tx.start, tx.end)
+        self.busy.mark(now, tx.end)
         for contender in self.contenders:
             contender.on_medium_busy(now)
         self.sim.schedule(tx.end, self._tx_end, tx)
 
     def _tx_end(self, tx: _Tx):
         self.active.remove(tx)
-        if tx.mac is None:
-            self._maybe_idle()
-            return
-        if tx.collided:
-            # no preamble decoded, no BlockAck; sender resolves by timeout
-            tx.mac.on_tx_collided(tx.ampdu)
+        if tx.mac is None or tx.collided:
+            if tx.mac is not None:
+                # no preamble decoded, no BlockAck; sender resolves by timeout
+                tx.mac.on_tx_collided(tx.ampdu)
             self._maybe_idle()
             return
         # clean PPDU: receiver decodes each MPDU and answers with a
@@ -193,7 +192,7 @@ class Medium:
         self.sim.schedule(ba_end, self._ba_done, tx, bitmap)
 
     def _ba_done(self, tx: _Tx, bitmap: list):
-        tx.mac.on_block_ack(tx.ampdu, bitmap)
+        tx.mac.resolve(tx.ampdu, bitmap)
         self._maybe_idle()
 
 
@@ -300,17 +299,14 @@ class LinkMac:
         return [rng.random() >= p for _ in ampdu.mpdus]
 
     def on_tx_collided(self, ampdu: Ampdu):
-        self.sim.schedule(self.sim.now + ACK_TIMEOUT_US, self._on_timeout, ampdu)
+        self.sim.schedule(self.sim.now + ACK_TIMEOUT_US, self.resolve, ampdu, None)
 
-    def _on_timeout(self, ampdu: Ampdu):
-        self.cw = min((self.cw + 1) * 2 - 1, CW_MAX)
-        self.peers[ampdu.dst].record(ampdu.mcs.index, 0.0)
-        self.in_flight = None
-        self.owner.on_resolution(self, ampdu, None)
-
-    def on_block_ack(self, ampdu: Ampdu, bitmap: list):
-        self.cw = CW_MIN
-        self.peers[ampdu.dst].record(ampdu.mcs.index, sum(bitmap) / len(bitmap))
+    def resolve(self, ampdu: Ampdu, bitmap: list | None):
+        """End the exchange: a BlockAck bitmap, or None when the ACK timed out."""
+        timed_out = bitmap is None
+        self.cw = min((self.cw + 1) * 2 - 1, CW_MAX) if timed_out else CW_MIN
+        delivered = 0.0 if timed_out else sum(bitmap) / len(bitmap)
+        self.peers[ampdu.dst].record(ampdu.mcs.index, delivered)
         self.in_flight = None
         self.owner.on_resolution(self, ampdu, bitmap)
 

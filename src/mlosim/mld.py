@@ -216,11 +216,8 @@ class MldDevice:
         queue = self.queues[mac]
         ampdu = aggregate(queue, mac.pick_mcs(queue[0].dst), mac.bandwidth)
         del queue[:len(ampdu.mpdus)]
-        if not queue:
-            # a drained pool stands down the other links backing off on it
-            for other, q in self.queues.items():
-                if q is queue and other is not mac:
-                    other.abort_contention()
+        if not queue:  # a drained pool stands down the links sharing it
+            self._sync()
         return ampdu
 
     def on_resolution(self, mac: LinkMac, ampdu: Ampdu, bitmap):

@@ -236,11 +236,7 @@ class Experiment:
             for stream in self.streams:
                 size_rng = rng_stream(self.seed, f"traffic.sta{sta}.{stream.kind}.size")
                 jitter_rng = rng_stream(self.seed, f"traffic.sta{sta}.{stream.kind}.jitter")
-                chain = generate_frames(stream, sta, size_rng, jitter_rng,
-                                        horizon - act)
-                for frame in chain:
-                    frame.gen_time += act
-                    frame.arrival_time += act
+                chain = generate_frames(stream, sta, size_rng, jitter_rng, act, horizon)
                 if chain:
                     self._arrival_chains.append(chain)
                     frames.extend(chain)

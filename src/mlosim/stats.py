@@ -1,10 +1,10 @@
 """Delay accounting and the pass/fail machinery built on it.
 
 A frame either finishes with a delay in microseconds or is LOST (retry
-exhaustion, buffer overflow, or still unfinished at the horizon).  LOST
-sorts above every finite delay, so a station with more than 1% lost
-frames cannot pass a 99th-percentile check no matter how fast the rest
-was delivered.
+exhaustion, buffer overflow, or still unfinished at the horizon).  LOST is
+None in memory and the word LOST in files.  It sorts above every finite
+delay, so a station with more than 1% lost frames cannot pass a
+99th-percentile check no matter how fast the rest was delivered.
 
 The headline metric mirrors the evaluation procedure: per-station p99
 over seed-merged samples, worst station compared against the stream's
@@ -16,17 +16,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from typing import NamedTuple
 
 from .traffic import UNSET, StreamConfig
 
 LOST = None
 
-_LOST_KEY = math.inf
 
-
-@dataclass(frozen=True, slots=True)
-class DelayRecord:
+class DelayRecord(NamedTuple):
+    """One delays.csv row; the field order is the column order."""
     seed: int
     station: int
     stream: str
@@ -45,22 +43,24 @@ def record(frame, delay_us):
 def frame_rows(frames, seed: int) -> list[DelayRecord]:
     """One row per frame, sorted by (station, stream, frame index); a frame
     with no outcome yet was unfinished at the horizon and counts as LOST.
+    One seed and unique (station, stream, frame index): plain tuple order.
     """
     rows = [DelayRecord(seed, f.station, f.stream.kind, f.index,
                         LOST if f.delay_us == UNSET else f.delay_us)
             for f in frames]
-    rows.sort(key=attrgetter("station", "stream", "frame_index"))
+    rows.sort()
     return rows
 
 
-def _sort_key(delay) -> float:
-    return _LOST_KEY if delay is None else delay
+def _sort_key(delay) -> tuple:
+    """Orders delays ascending with LOST above every finite one."""
+    return (delay is LOST, delay or 0)
 
 
-def percentile(samples: list, p: float) -> float:
-    """Nearest-rank percentile; LOST sentinels count as +inf.
+def percentile(samples: list, p: float) -> int | None:
+    """Nearest-rank percentile of delays, LOST sorting above every one.
 
-    Value at 1-based index ceil(p*N) of the ascending sort.  The epsilon
+    Sample at 1-based index ceil(p*N) of the ascending sort.  The epsilon
     guards against float noise in p*N landing a hair above an integer.
     """
     if not samples:
@@ -68,14 +68,14 @@ def percentile(samples: list, p: float) -> float:
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
     rank = math.ceil(p * len(samples) - 1e-9)
-    value = sorted(samples, key=_sort_key)[rank - 1]
-    return _LOST_KEY if value is None else value
+    finite = sorted(d for d in samples if d is not LOST)
+    return finite[rank - 1] if rank <= len(finite) else LOST
 
 
 @dataclass
 class StreamVerdict:
     stream: str
-    worst_p99_us: float
+    worst_p99_us: int | None
     pdb_us: int
     passed: bool
     station_p99: dict
@@ -90,8 +90,9 @@ def verdict(records: list, stream_kind: str, pdb_us: int) -> StreamVerdict:
     if not by_station:
         raise ValueError(f"no records for stream {stream_kind!r}")
     station_p99 = {sta: percentile(v, 0.99) for sta, v in sorted(by_station.items())}
-    worst = max(station_p99.values())
-    return StreamVerdict(stream_kind, worst, pdb_us, worst <= pdb_us, station_p99)
+    worst = max(station_p99.values(), key=_sort_key)
+    passed = worst is not LOST and worst <= pdb_us
+    return StreamVerdict(stream_kind, worst, pdb_us, passed, station_p99)
 
 
 def evaluate(records: list, streams: list[StreamConfig]) -> list[StreamVerdict]:
@@ -110,7 +111,7 @@ def export_ccdf(records: list, stream_kind: str) -> list[tuple[int, float]]:
     delays = [r.delay_us for r in records if r.stream == stream_kind]
     if not delays:
         raise ValueError(f"no records for stream {stream_kind!r}")
-    finite = sorted(d for d in delays if d is not None)
+    finite = sorted(d for d in delays if d is not LOST)
     n = len(delays)
     rows = []
     seen = 0
@@ -135,7 +136,7 @@ class CapacityResult:
 # -- file formats ---------------------------------------------------------
 
 def format_delay(delay) -> str:
-    if delay is None or delay == math.inf:
+    if delay is LOST:
         return "LOST"
     return str(int(delay))
 
@@ -153,7 +154,7 @@ def parse_records(text: str) -> list[DelayRecord]:
     for line in lines[1:]:
         seed, sta, stream, idx, delay = line.split(",")
         records.append(DelayRecord(int(seed), int(sta), stream, int(idx),
-                                   None if delay == "LOST" else int(delay)))
+                                   LOST if delay == "LOST" else int(delay)))
     return records
 
 

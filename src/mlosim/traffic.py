@@ -56,7 +56,8 @@ class StreamConfig:
     def __post_init__(self):
         if self.kind not in TRAFFIC_KINDS:
             raise ValueError(f"unknown stream kind {self.kind!r}")
-        if isinstance(self.jitter_model, TruncGaussModel) != (self.kind == DL_VIDEO):
+        if not (isinstance(self.jitter_model, TruncGaussModel) if self.kind == DL_VIDEO
+                else self.jitter_model is None):
             raise ValueError("jitter_model must be a TruncGaussModel on DL video, else None")
         # times live on the integer-microsecond clock, sizes in whole bytes
         for name in ("periodicity_us", "pdb_us"):
@@ -66,13 +67,15 @@ class StreamConfig:
         rate = self.data_rate_mbps
         if type(rate) not in (int, float) or not 0 < rate < math.inf:
             raise ValueError("data_rate_mbps must be a finite positive number")
-        if isinstance(self.size_model, TruncGaussModel):
-            nominal = self.size_model.mean * 8 / self.periodicity_us  # Mb/s
-            if abs(nominal - rate) / rate > 0.02:
-                raise ValueError(f"size_model mean every periodicity_us offers {nominal:.3g} "
-                                 f"Mb/s, inconsistent with data_rate_mbps")
-        elif type(self.size_model) is not int or self.size_model < 1:
+        mean = self.size_model
+        if isinstance(mean, TruncGaussModel):
+            mean = mean.mean
+        elif type(mean) is not int or mean < 1:
             raise ValueError("a fixed size_model must be a positive integer")
+        nominal = mean * 8 / self.periodicity_us  # Mb/s
+        if abs(nominal - rate) / rate > 0.02:
+            raise ValueError(f"size_model mean every periodicity_us offers {nominal:.3g} "
+                             f"Mb/s, inconsistent with data_rate_mbps")
         # arrivals are chained in frame order, so jitter must not reorder them
         jitter = self.jitter_model
         if jitter is not None and jitter.max - jitter.min >= self.periodicity_us:
@@ -174,8 +177,10 @@ def fragment(frame: AppFrame) -> list[Mpdu]:
     return mpdus
 
 
-def generate_frames(cfg: StreamConfig, station: int, size_rng, jitter_rng, horizon_us: int) -> list[AppFrame]:
-    """All frames of one stream with gen_time inside [0, horizon).
+def generate_frames(cfg: StreamConfig, station: int, size_rng, jitter_rng,
+                    start_us: int, horizon_us: int) -> list[AppFrame]:
+    """All frames of one stream started at start_us: gen_time = start_us +
+    k * periodicity_us below horizon_us, arrivals jittered no earlier than start_us.
 
     Draw order is fixed (size then jitter, in frame order) so the sequence
     depends only on the stream's RNG labels, not on event interleaving.
@@ -183,13 +188,14 @@ def generate_frames(cfg: StreamConfig, station: int, size_rng, jitter_rng, horiz
     frames = []
     k = 0
     while True:
-        gen = k * cfg.periodicity_us
+        gen = start_us + k * cfg.periodicity_us
         if gen >= horizon_us:
             break
         size = sample_frame_size(cfg, size_rng)
         arrival = gen
         if cfg.jitter_model is not None:
-            arrival = max(gen + round(sample_trunc_gauss(cfg.jitter_model, jitter_rng)), 0)
+            arrival = max(gen + round(sample_trunc_gauss(cfg.jitter_model, jitter_rng)),
+                          start_us)
         frames.append(AppFrame(stream=cfg, station=station, index=k,
                                gen_time=gen, arrival_time=arrival, size=size))
         k += 1

@@ -131,8 +131,7 @@ def test_criterion_4_blocked_link_drain():
 
         def spy(mac):
             ampdu = orig(mac)
-            if ampdu is not None:
-                sent.append((mac.link_index, len(ampdu.mpdus)))
+            sent.append((mac.link_index, len(ampdu.mpdus)))
             return ampdu
 
         dev.build_ampdu = spy

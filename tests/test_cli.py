@@ -143,6 +143,8 @@ def test_resolve_config_rejects_out_of_range_knobs(key, value):
     ("ul_video", "data_rate_mbps", "x"),
     ("ul_video", "data_rate_mbps", float("nan")),  # made the rate check vacuous
     ("pose", "data_rate_mbps", True),  # a bool is no number
+    ("ul_video", "jitter_model", 5),  # was an internal error in the run
+    ("pose", "periodicity_us", 1000),  # 100 B every 1 ms offers 0.8 Mb/s, not 0.2
 ])
 def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
     # resolution only: a run with such a stream would exhaust memory
@@ -164,6 +166,14 @@ def test_seeds_flag_overrides_config(tmp_path):
     assert manifest["config"]["seeds"] == [7]
     body = (out / "delays.csv").read_text().splitlines()[1:]
     assert all(line.startswith("7,") for line in body)
+
+
+@pytest.mark.parametrize("seeds", ["x", [1, 1]])
+def test_seeds_flag_still_checks_config_seeds(tmp_path, capsys, seeds):
+    code, out = run_cli(tmp_path, "run", {**TINY, "seeds": seeds}, extra=("--seeds", "2"))
+    assert code == 1
+    assert "seeds" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_manifest_config_roundtrip(tmp_path):

@@ -282,10 +282,10 @@ def test_beb_ladder_caps_at_cw_max():
     ampdu = Ampdu(make_mpdus(1500), 100, 0, MCS11_80)
     seen = []
     for _ in range(8):
-        mac._on_timeout(ampdu)
+        mac.resolve(ampdu, None)
         seen.append(mac.cw)
     assert seen == [31, 63, 127, 255, 511, 1023, 1023, 1023]
-    mac.on_block_ack(ampdu, [True])
+    mac.resolve(ampdu, [True])
     assert mac.cw == CW_MIN
 
 

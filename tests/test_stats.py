@@ -1,5 +1,3 @@
-import math
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -43,7 +41,7 @@ def test_percentile_one_lost_among_hundred():
 
 def test_percentile_two_lost_among_hundred():
     samples = [i * 1000 for i in range(1, 99)] + [None, None]
-    assert percentile(samples, 0.99) == math.inf
+    assert percentile(samples, 0.99) is LOST
 
 
 def test_percentile_empty_raises():
@@ -130,7 +128,7 @@ def test_lost_frames_fail_verdict():
     records = [rec(1, "pose", i, 100) for i in range(97)]
     records += [rec(1, "pose", 97 + i, None) for i in range(3)]
     v = verdict(records, "pose", 10_000)
-    assert v.worst_p99_us == math.inf and not v.passed
+    assert v.worst_p99_us is LOST and not v.passed
 
 
 # -- ccdf ----------------------------------------------------------------------

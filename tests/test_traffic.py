@@ -49,7 +49,7 @@ def test_jitter_draws_centered_and_bounded():
 
 def test_pose_arrival_is_exact_multiple():
     pose = default_stream_set()[2]
-    frames = generate_frames(pose, 0, None, None, 16_000)
+    frames = generate_frames(pose, 0, None, None, 0, 16_000)
     assert frames[3].arrival_time == 12_000
 
 
@@ -60,7 +60,7 @@ def test_dl_video_arrival_with_zero_jitter():
     cfg = StreamConfig(kind="dl_video", periodicity_us=16667, pdb_us=10_000,
                        size_model=DL_SIZE, data_rate_mbps=10.0,
                        jitter_model=no_jitter)
-    frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 100_003)
+    frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 0, 100_003)
     assert frames[6].arrival_time == 100_002
     assert dl.periodicity_us == 16667
 
@@ -70,7 +70,7 @@ def test_negative_jitter_at_k0_clamps_to_zero():
     cfg = StreamConfig(kind="dl_video", periodicity_us=16667, pdb_us=10_000,
                        size_model=DL_SIZE, data_rate_mbps=10.0,
                        jitter_model=always_neg)
-    frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 16_668)
+    frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 0, 16_668)
     assert [f.arrival_time for f in frames] == [0, 16_667 - 4000]
 
 
@@ -127,7 +127,7 @@ def test_rate_consistency_over_50s():
     dl = default_stream_set()[0]
     size_rng = rng_stream(3, "traffic.sta0.dl_video.size")
     jit_rng = rng_stream(3, "traffic.sta0.dl_video.jitter")
-    frames = generate_frames(dl, 0, size_rng, jit_rng, 50_000_000)
+    frames = generate_frames(dl, 0, size_rng, jit_rng, 0, 50_000_000)
     assert len(frames) == 3000
     total_bits = sum(f.size for f in frames) * 8
     assert abs(total_bits / 50e6 - 10.0) / 10.0 < 0.03
@@ -138,13 +138,13 @@ def test_generated_frame_counts_per_stream():
     for cfg in default_stream_set():
         size_rng = rng_stream(0, f"traffic.sta0.{cfg.kind}.size")
         jit_rng = rng_stream(0, f"traffic.sta0.{cfg.kind}.jitter")
-        counts[cfg.kind] = len(generate_frames(cfg, 0, size_rng, jit_rng, 50_000_000))
+        counts[cfg.kind] = len(generate_frames(cfg, 0, size_rng, jit_rng, 0, 50_000_000))
     assert counts == {"dl_video": 3000, "ul_video": 3000, "pose": 12500}
 
 
 def test_gen_times_are_exact_multiples_only_arrivals_jittered():
     dl = default_stream_set()[0]
-    frames = generate_frames(dl, 0, rng_stream(9, "s"), rng_stream(9, "j"), 1_000_000)
+    frames = generate_frames(dl, 0, rng_stream(9, "s"), rng_stream(9, "j"), 0, 1_000_000)
     for f in frames:
         assert f.gen_time == f.index * 16667
         assert abs(f.arrival_time - f.gen_time) <= 4000 or f.arrival_time == 0
@@ -154,9 +154,9 @@ def test_gen_times_are_exact_multiples_only_arrivals_jittered():
 
 def test_ul_streams_have_no_jitter_and_pose_fixed_size():
     ul, pose = default_stream_set()[1:]
-    frames = generate_frames(ul, 2, rng_stream(0, "traffic.sta2.ul_video.size"), None, 200_000)
+    frames = generate_frames(ul, 2, rng_stream(0, "traffic.sta2.ul_video.size"), None, 0, 200_000)
     assert all(f.arrival_time == f.gen_time for f in frames)
-    pframes = generate_frames(pose, 2, None, None, 200_000)
+    pframes = generate_frames(pose, 2, None, None, 0, 200_000)
     assert all(f.size == 100 for f in pframes)
     assert [f.arrival_time for f in pframes] == [4000 * k for k in range(50)]
 

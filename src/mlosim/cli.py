@@ -6,7 +6,8 @@ default setup (greedy policy, two 40 MHz links, AR traffic, ten seeds).  Everyth
 directory together with a manifest recording the resolved configuration,
 so any result directory can be reproduced from its own manifest.
 
-Exit codes: 0 success, 1 usage or config error, 2 internal error.
+Exit codes: 0 success, 1 usage or config error (a bad, missing or unknown
+flag or subcommand, or a bad config; stderr names it), 2 internal error.
 """
 import argparse
 import json
@@ -150,7 +151,7 @@ def cmd_capacity(args) -> int:
     result = capacity_search(cfg, max_n=max_n, workers=args.workers)
     write_atomic(out_dir / "capacity.txt", format_capacity(result))
     lines = ["n,stream,worst_p99_us,pdb_us,verdict"]
-    for n, verdicts, _ in result.per_n:
+    for n, verdicts in result.per_n:
         for v in verdicts:
             lines.append(f"{n},{v.stream},{format_delay(v.worst_p99_us)},"
                          f"{v.pdb_us},{'PASS' if v.passed else 'FAIL'}")
@@ -179,7 +180,7 @@ def capacity_search(base_cfg: ScenarioConfig, max_n: int = MAX_STA,
         cfg = replace(base_cfg, n_sta=n)
         verdicts = evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
         ok = all_pass(verdicts)
-        per_n.append((n, verdicts, ok))
+        per_n.append((n, verdicts))
         log.info("capacity probe policy=%s n=%d -> %s", base_cfg.policy, n,
                  "pass" if ok else "fail")
         if not ok:
@@ -195,7 +196,7 @@ def cmd_sweep(args) -> int:
         if key in raw and not (isinstance(raw[key], list) and raw[key]):
             raise ConfigError(f"config key {key!r} must be a list with at least one entry")
     policies = raw.get("policies", list(mld.POLICIES))
-    link_sets = raw.get("link_sets", ["2x40"])
+    link_sets = raw.get("link_sets", [ScenarioConfig.links])
     sta_counts = raw.get("sta_counts")
     if not sta_counts:
         raise ConfigError("sweep config requires key 'sta_counts'")
@@ -248,18 +249,35 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
-def _parse_seeds(text: str) -> tuple:
+def _seed_list(text: str) -> tuple:
     try:
         seeds = tuple(int(s) for s in text.split(",") if s.strip())
     except ValueError:
-        raise ConfigError(f"--seeds expects comma-separated integers, got {text!r}")
+        seeds = ()
     if not seeds:
-        raise ConfigError("--seeds list is empty")
+        raise argparse.ArgumentTypeError(f"expects comma-separated integers, got {text!r}")
     return seeds
 
 
+def _worker_count(text: str) -> int:
+    try:
+        workers = int(text)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise argparse.ArgumentTypeError(f"expects a positive integer, got {text!r}")
+    return workers
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises every usage error as a ConfigError, which main maps to exit 1."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mlosim",
         description="Multi-link 802.11 AR-traffic simulator")
     parser.add_argument("--version", action="version",
@@ -273,11 +291,11 @@ def build_parser() -> argparse.ArgumentParser:
              "run a policies x link-sets x station-counts cross-product")):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="JSON config file")
-        p.add_argument("--out", default=None,
+        p.add_argument("--out", default=os.environ.get("MLOSIM_OUT", "out"),
                        help="output directory (default $MLOSIM_OUT or ./out)")
-        p.add_argument("--seeds", default=None,
+        p.add_argument("--seeds", type=_seed_list, default=None,
                        help="comma-separated seed list overriding the config")
-        p.add_argument("--workers", type=int, default=None,
+        p.add_argument("--workers", type=_worker_count, default=os.cpu_count() or 1,
                        help="max parallel seed runs (default: CPU count)")
         p.add_argument("--log-level", default="warning",
                        choices=("debug", "info", "warning", "error"))
@@ -286,22 +304,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    logging.basicConfig(level=getattr(logging, args.log_level.upper()),
-                        format="%(levelname)s %(name)s: %(message)s")
-    if args.out is None:
-        args.out = os.environ.get("MLOSIM_OUT", "out")
-    if args.workers is None:
-        args.workers = os.cpu_count() or 1
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return EXIT_CONFIG
     try:
-        args.seeds = _parse_seeds(args.seeds) if args.seeds else None
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    try:
+        args = build_parser().parse_args(argv)
+        logging.basicConfig(level=getattr(logging, args.log_level.upper()),
+                            format="%(levelname)s %(name)s: %(message)s")
         return args.fn(args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)

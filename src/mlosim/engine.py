@@ -11,6 +11,7 @@ None is inert, and it holds no reference to its arguments.
 
 RNG substreams are addressed by (seed, label) so that e.g. traffic draws stay
 identical across runs that only differ in MAC-level event interleaving.
+Each label has one consumer, which requests its stream once and keeps it.
 Labels used by the simulator:
 
     traffic.sta{i}.{kind}.size      frame size draws
@@ -54,14 +55,10 @@ class Simulator:
         self.now = 0
         self._heap = []
         self._seq = 0
-        self._streams = {}
 
     def stream(self, label):
-        """Cached per-label substream for this simulation's seed."""
-        s = self._streams.get(label)
-        if s is None:
-            s = self._streams[label] = rng_stream(self.seed, label)
-        return s
+        """A fresh substream for (this simulation's seed, label)."""
+        return rng_stream(self.seed, label)
 
     def schedule(self, at, fn, *args):
         """Enqueue fn(*args) to run at absolute time `at` (µs).

@@ -178,10 +178,7 @@ class RateSelector:
         self._best, self._best_est = best, best_est
 
     def estimate(self, index: int) -> float:
-        w = self.windows[index]
-        if not w:
-            return 0.0
-        return self._rates[index] * (self._sums[index] / len(w))
+        return self._rates[index] * (self._sums[index] / len(self.windows[index]))
 
     def decided_rate(self) -> float:
         """Data rate (Mb/s) of the MCS the next exploit step would use: the

@@ -220,34 +220,24 @@ class Experiment:
                 medium.macs[AP_ID].add_peer(sta, s)
                 medium.macs[sta].add_peer(AP_ID, s)
 
-        self.frames = self._generate_traffic()
         # arrivals are chained per stream (each event schedules its
         # successor) to keep the event heap shallow
-        for chain in self._arrival_chains:
-            self._schedule_arrival(chain, 0)
-        self.sim.schedule(cfg.update_period_us, self._tick)
-
-    def _generate_traffic(self):
-        frames = []
-        self._arrival_chains = []
-        horizon = self.cfg.horizon_us
-        for sta in range(1, self.cfg.n_sta + 1):
+        self.frames = []
+        for sta in range(1, cfg.n_sta + 1):
             act = self.deployment.activation_us[sta - 1]
             for stream in self.streams:
-                size_rng = rng_stream(self.seed, f"traffic.sta{sta}.{stream.kind}.size")
-                jitter_rng = rng_stream(self.seed, f"traffic.sta{sta}.{stream.kind}.jitter")
-                chain = generate_frames(stream, sta, size_rng, jitter_rng, act, horizon)
+                size_rng = rng_stream(seed, f"traffic.sta{sta}.{stream.kind}.size")
+                jitter_rng = rng_stream(seed, f"traffic.sta{sta}.{stream.kind}.jitter")
+                chain = generate_frames(stream, sta, size_rng, jitter_rng, act,
+                                        cfg.horizon_us)
                 if chain:
-                    self._arrival_chains.append(chain)
-                    frames.extend(chain)
-        return frames
-
-    def _schedule_arrival(self, chain: list, i: int):
-        self.sim.schedule(chain[i].arrival_time, self._on_arrival, chain, i)
+                    self.frames.extend(chain)
+                    self.sim.schedule(chain[0].arrival_time, self._on_arrival, chain, 0)
+        self.sim.schedule(cfg.update_period_us, self._tick)
 
     def _on_arrival(self, chain: list, i: int):
         if i + 1 < len(chain):
-            self._schedule_arrival(chain, i + 1)
+            self.sim.schedule(chain[i + 1].arrival_time, self._on_arrival, chain, i + 1)
         frame = chain[i]
         target = AP_ID if frame.stream.downlink else frame.station
         self.devices[target].on_frame(frame)

@@ -130,7 +130,7 @@ class CapacityResult:
     policy: str
     links: str
     max_sta: int
-    per_n: list  # (n, [StreamVerdict], bool)
+    per_n: list  # (n, [StreamVerdict])
 
 
 # -- file formats ---------------------------------------------------------
@@ -176,8 +176,8 @@ def format_summary(verdicts: list[StreamVerdict]) -> str:
 
 def format_capacity(result: CapacityResult) -> str:
     lines = [f"policy={result.policy} links={result.links} max_sta={result.max_sta}"]
-    for n, verdicts, ok in result.per_n:
-        parts = [f"n={n}", "pass" if ok else "fail"]
+    for n, verdicts in result.per_n:
+        parts = [f"n={n}", "pass" if all_pass(verdicts) else "fail"]
         for v in verdicts:
             parts.append(f"{v.stream}_p99_us={format_delay(v.worst_p99_us)}")
         lines.append(" ".join(parts))

@@ -233,8 +233,8 @@ def test_criterion_5_capacity_orderings(sweep):
 @pytest.mark.slow
 def test_criterion_6_dl_stream_fails_first(sweep):
     for (policy, links), res in sweep.searches.items():
-        n, verdicts, ok = res.per_n[-1]
-        assert not ok and n == res.max_sta + 1, (policy, links)
+        n, verdicts = res.per_n[-1]
+        assert not all_pass(verdicts) and n == res.max_sta + 1, (policy, links)
         dl = next(v for v in verdicts if v.stream == "dl_video")
         assert not dl.passed, (
             f"{policy} {links} fails at n={n} without the DL stream failing")

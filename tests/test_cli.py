@@ -65,6 +65,14 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+def test_run_rejects_json_array_config(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert "must be a JSON object" in capsys.readouterr().err
+
+
 def test_run_names_unknown_key(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "run", {**TINY, "n_stations": 4})
     assert code == 1
@@ -151,6 +159,17 @@ def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
     override = value if field is None else {field: value}
     with pytest.raises(cli.ConfigError, match=field or f"{kind}' must be an object"):
         cli.resolve_config({**TINY, "traffic": {kind: override}})
+
+
+@pytest.mark.parametrize("traffic,key", [
+    (5, "traffic"),
+    ({"enabled": "pose"}, "enabled"),  # a string, not a list of kinds
+    ({"enabled": ["video"]}, "video"),
+    ({"video": {}}, "video"),
+])
+def test_resolve_config_rejects_bad_traffic_keys(traffic, key):
+    with pytest.raises(cli.ConfigError, match=key):
+        cli.resolve_config({**TINY, "traffic": traffic})
 
 
 def test_stream_period_enters_rate_check():
@@ -243,6 +262,16 @@ def test_rerun_outputs_byte_identical(tmp_path):
     for name in ("delays.csv", "ccdf_dl_video.csv", "ccdf_ul_video.csv",
                  "ccdf_pose.csv", "summary.txt"):
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+
+
+def test_run_internal_error_exits_2(tmp_path, monkeypatch, capsys):
+    def run_seeds(cfg, workers=1):
+        raise RuntimeError("simulator crashed")
+
+    monkeypatch.setattr(cli, "run_seeds", run_seeds)
+    code, _ = run_cli(tmp_path, "run", TINY)
+    assert code == 2
+    assert "internal error: simulator crashed" in capsys.readouterr().err
 
 
 def test_console_entry_point(tmp_path):
@@ -403,14 +432,54 @@ def test_sweep_rerun_byte_identical(tmp_path):
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
 
 
+def test_sweep_reports_failed_cell_and_keeps_the_rest(tmp_path, monkeypatch, capsys):
+    real_run_seeds = cli.run_seeds
+
+    def run_seeds(cfg, workers=1):
+        if cfg.policy == "uniform":
+            raise RuntimeError("cell crashed")
+        return real_run_seeds(cfg, workers=workers)
+
+    monkeypatch.setattr(cli, "run_seeds", run_seeds)
+    cfg = {"policies": ["greedy", "uniform"], "sta_counts": [1],
+           "sim_duration_s": 2.0, "activation_window_s": 0.1, "seeds": [1]}
+    code, out = run_cli(tmp_path, "sweep", cfg)
+    assert code == 0
+    rows = (out / "sweep.csv").read_text().splitlines()[1:]
+    assert rows[1] == "uniform,2x40,1,ERROR,ERROR,ERROR,ERROR"
+    assert rows[0].startswith("greedy,2x40,1,") and rows[0].endswith(("PASS", "FAIL"))
+    assert "warning: 1 sweep cell(s) failed" in capsys.readouterr().out
+
+
 # -- flag handling ----------------------------------------------------------------
 
-def test_bad_seeds_flag(tmp_path, capsys):
-    cfg = write_config(tmp_path, TINY)
-    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--seeds", "1,x"])
-    assert code == 1
-    assert "--seeds" in capsys.readouterr().err
+RUN = ["run", "--config", "config.json"]
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["run"], "--config"),
+    ([*RUN, "--bogus"], "--bogus"),
+    ([*RUN, "--workers", "abc"], "--workers"),
+    ([*RUN, "--workers", "0"], "--workers"),
+    ([*RUN, "--seeds", "1,x"], "--seeds"),
+    ([*RUN, "--seeds", ","], "--seeds"),
+    ([*RUN, "--log-level", "loud"], "--log-level"),
+    (["frobnicate"], "frobnicate"),
+], ids=["no-config", "unknown-flag", "workers-abc", "workers-0", "seeds-1x",
+        "seeds-empty", "log-level-loud", "unknown-command"])
+def test_usage_error_exits_1(tmp_path, monkeypatch, capsys, argv, named):
+    monkeypatch.chdir(tmp_path)
+    write_config(tmp_path, TINY)
+    assert cli.main(argv) == 1
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--version", "--help"])
+def test_version_and_help_exit_0(flag):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([flag])
+    assert exc.value.code == 0
 
 
 def test_seeds_flag_rejects_repeats(tmp_path, capsys):
@@ -420,10 +489,3 @@ def test_seeds_flag_rejects_repeats(tmp_path, capsys):
     assert code == 1
     assert "seeds" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
-
-
-def test_bad_workers_flag(tmp_path, capsys):
-    cfg = write_config(tmp_path, TINY)
-    code = cli.main(["run", "--config", cfg, "--out", str(tmp_path / "o"),
-                     "--workers", "0"])
-    assert code == 1

@@ -139,11 +139,10 @@ def test_rng_distinct_seeds_differ():
     assert [a.random() for _ in range(20)] != [b.random() for _ in range(20)]
 
 
-def test_simulator_stream_is_cached():
-    sim = Simulator(seed=7)
-    s = sim.stream("x")
-    s.random()
-    assert sim.stream("x") is s
+def test_simulator_stream_is_the_seeds_labeled_stream():
+    s = Simulator(seed=7).stream("x")
+    ref = rng_stream(7, "x")
+    assert [s.random() for _ in range(20)] == [ref.random() for _ in range(20)]
 
 
 @given(st.lists(st.integers(min_value=0, max_value=1000), min_size=1, max_size=200))

@@ -5,10 +5,12 @@ link share one `Medium`, which finds a PPDU's receiver among them by
 device id.  Each MAC keeps one `phy.RateSelector` per peer (add_peer),
 holding the SNR towards it; under fixed-rate control its MCS set has one
 entry.  A MAC calls its upper MAC only through build_ampdu and
-on_resolution.  Contention is
-DCF-style CSMA/CA with a single access category (CWmin 15, CWmax 1023,
-AIFS = DIFS): DIFS sensing, slotted random backoff frozen while the
-medium is busy, binary exponential backoff on acknowledgment timeout.
+on_resolution.  Contention is DCF-style CSMA/CA with a single access
+category (CWmin 15, CWmax 1023, AIFS = DIFS): DIFS sensing, slotted
+random backoff, binary exponential backoff on acknowledgment timeout.
+The `Medium` runs every countdown: it freezes each pending one when it
+turns busy and resumes each one when it turns idle.  An exchange holds
+the medium until its BlockAck ends, or until its PPDU ends if collided.
 Data goes out as AMPDUs bounded by both a 64-MPDU count limit and a
 5.484 ms airtime limit; delivery is confirmed by a fixed-duration
 BlockAck that the receiver returns one SIFS after a non-collided PPDU.
@@ -121,7 +123,10 @@ class _Tx:
 
 
 class Medium:
-    """One radio link's channel: arbitration, collisions, busy accounting."""
+    """One radio link's channel: contention, collisions, busy accounting.
+    It freezes every countdown when it turns busy and resumes every one
+    when it turns idle; an exchange in `active` holds it busy until its
+    BlockAck ends, or until its PPDU ends if collided."""
 
     def __init__(self, sim, link: phy.LinkSpec, index: int):
         self.sim = sim
@@ -129,26 +134,24 @@ class Medium:
         self.index = index
         self.err_rng = sim.stream(f"phy.err.link{index}")
         self.macs: dict[int, LinkMac] = {}  # by device id
-        # notified in entry order; on_medium_busy/idle never add or remove one
+        # frozen and resumed in entry order; neither step adds or removes one
         self.contenders: dict[LinkMac, None] = {}
-        self.active: list[_Tx] = []
-        self.reserved_until = 0  # covers the SIFS + BlockAck tail of a PPDU
+        self.active: list[_Tx] = []  # exchanges holding the medium
         self.busy = BusyTime()
 
     # -- sensing ------------------------------------------------------
-
-    def is_busy(self, now: int) -> bool:
-        return bool(self.active) or self.reserved_until > now
 
     def busy_total(self, t: int) -> int:
         """Cumulative airtime on this link in [0, t]."""
         return self.busy.total(t)
 
     def _maybe_idle(self):
+        if self.active:
+            return
         now = self.sim.now
-        if not self.is_busy(now):
-            for mac in self.contenders:
-                mac.on_medium_idle(now)
+        for mac in self.contenders:  # resume every frozen countdown
+            if mac.grant is None:
+                mac._arm_grant(now)
 
     # -- transmission -------------------------------------------------
 
@@ -167,23 +170,29 @@ class Medium:
             tx.collided = True
         self.active.append(tx)
         self.busy.mark(now, tx.end)
-        for contender in self.contenders:
-            contender.on_medium_busy(now)
+        for other in self.contenders:  # freeze every pending countdown
+            # a grant armed for this instant (neither term changes while
+            # it is pending) fires this same microsecond: let it collide
+            if other.grant is None or other.difs_end + other.backoff * SLOT_US <= now:
+                continue
+            self.sim.cancel(other.grant)
+            other.grant = None
+            if now > other.difs_end:  # a later grant leaves consumed < backoff
+                other.backoff -= (now - other.difs_end) // SLOT_US
         self.sim.schedule(tx.end, self._tx_end, tx)
 
     def _tx_end(self, tx: _Tx):
-        self.active.remove(tx)
         if tx.mac is None or tx.collided:
+            self.active.remove(tx)
             if tx.mac is not None:
                 # no preamble decoded, no BlockAck; sender resolves by timeout
                 tx.mac.on_tx_collided(tx.ampdu)
             self._maybe_idle()
             return
         # clean PPDU: receiver decodes each MPDU and answers with a
-        # BlockAck one SIFS later; the exchange keeps the medium reserved
+        # BlockAck one SIFS later; the exchange holds the medium until then
         now = self.sim.now
         ba_start, ba_end = now + SIFS_US, now + SIFS_US + BLOCK_ACK_US
-        self.reserved_until = ba_end
         self.busy.mark(ba_start, ba_end)
         bitmap = tx.mac.decode_bitmap(tx.ampdu)
         receiver = self.macs.get(tx.ampdu.dst)
@@ -192,6 +201,7 @@ class Medium:
         self.sim.schedule(ba_end, self._ba_done, tx, bitmap)
 
     def _ba_done(self, tx: _Tx, bitmap: list):
+        self.active.remove(tx)
         tx.mac.resolve(tx.ampdu, bitmap)
         self._maybe_idle()
 
@@ -242,30 +252,12 @@ class LinkMac:
             return
         self.backoff = self.backoff_rng.randint(0, self.cw)
         contenders[self] = None
-        if not self.medium.is_busy(self.sim.now):
+        if not self.medium.active:
             self._arm_grant(self.sim.now)
 
     def _arm_grant(self, idle_since: int):
         self.difs_end = idle_since + DIFS_US
         self.grant = self.sim.schedule(self.difs_end + self.backoff * SLOT_US, self._on_grant)
-
-    def on_medium_busy(self, busy_start: int):
-        if self.grant is None:
-            return
-        if self.difs_end + self.backoff * SLOT_US <= busy_start:
-            # our own grant, armed for this instant (neither term changes
-            # while it is pending), fires this same microsecond:
-            # simultaneous access, let it collide
-            return
-        self.sim.cancel(self.grant)
-        self.grant = None
-        if busy_start > self.difs_end:
-            consumed = (busy_start - self.difs_end) // SLOT_US
-            self.backoff -= min(consumed, self.backoff)
-
-    def on_medium_idle(self, idle_time: int):
-        if self.grant is None:
-            self._arm_grant(idle_time)
 
     def _on_grant(self):
         self.grant = None

@@ -136,7 +136,6 @@ class RateSelector:
     INITIAL_INDEX = 4
 
     def __init__(self, bandwidth_mhz: int, snr_db: float, fixed_mcs: int | None = None):
-        self.bandwidth_mhz = bandwidth_mhz
         self.snr_db = snr_db
         if fixed_mcs is None:
             limit = max_feasible_index(snr_db)

@@ -243,7 +243,9 @@ def test_second_contender_defers_through_blockack():
     assert ob.grant_times == [ba_end + DIFS_US + 18]
 
 
-def test_new_contender_during_sifs_gap_stays_frozen():
+@pytest.mark.parametrize("after_tx_end", [5, SIFS_US + 10], ids=["sifs-gap", "block-ack"])
+def test_new_contender_during_sifs_gap_stays_frozen(after_tx_end):
+    # the exchange holds the medium through its SIFS gap and its BlockAck
     sim, medium, macs, owners = setup_link(n_macs=2)
     a, b = macs
     oa, ob = owners
@@ -253,7 +255,7 @@ def test_new_contender_during_sifs_gap_stays_frozen():
     ob.queue = make_mpdus(7500, station=2)
     a.ensure_contending()
     tx_end = DIFS_US + DUR_5
-    sim.schedule(tx_end + 5, b.ensure_contending)  # inside the SIFS gap
+    sim.schedule(tx_end + after_tx_end, b.ensure_contending)
     sim.run_until(10_000)
     ba_end = tx_end + SIFS_US + BLOCK_ACK_US
     assert ob.grant_times == [ba_end + DIFS_US]

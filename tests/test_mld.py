@@ -16,8 +16,9 @@ from mlosim.mld import (
 )
 from mlosim.scenario import ScenarioConfig
 from mlosim.traffic import UNSET, AppFrame, default_stream_set
+from test_mac import bianchi
 
-DL = default_stream_set()[0]
+DL, UL = default_stream_set()[:2]
 MCS11_80 = phy.MCS_TABLE[11]
 
 
@@ -363,3 +364,68 @@ def test_on_tick_feeds_estimators_from_medium():
     sim.run_until(600_000)
     assert dev.estimators[0].busy_ma_us == 200_000
     assert dev.estimators[1].busy_ma_us == 0
+
+
+# -- saturated MLO against per-link Bianchi ----------------------------------
+
+SATURATED_MPDUS = 3 * 64 * 2  # every link queue keeps a full A-MPDU
+
+
+def run_saturated_mlo(policy, n, duration_us=5_000_000):
+    """Delivered Mb/s of n devices on two 40 MHz links, each topped up
+    with 96,000 B uplink frames (64 MPDUs) on every resolution."""
+    sim = Simulator(seed=n)
+    media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 40), j) for j in range(2)]
+    delivered = [0]
+
+    def top_up(dev):
+        while dev.mpdu_load < SATURATED_MPDUS:
+            dev.on_frame(AppFrame(stream=UL, station=dev.device, index=0,
+                                  gen_time=sim.now, arrival_time=sim.now, size=96_000))
+
+    def saturated(dev):
+        real_on_resolution = dev.on_resolution
+
+        def on_resolution(mac, ampdu, bitmap):
+            if bitmap is not None:
+                delivered[0] += sum(m.payload for m, ok in zip(ampdu.mpdus, bitmap) if ok)
+            real_on_resolution(mac, ampdu, bitmap)
+            top_up(dev)
+
+        dev.on_resolution = on_resolution
+        return dev
+
+    for d in range(1, n + 1):
+        dev = saturated(MldDevice(sim, d, policy, buffer_cap=10**6))
+        for med in media:
+            mac = LinkMac(sim, med, d, dev, fixed_mcs=11)
+            mac.add_peer(0, 100.0)  # no noise errors at MCS 11
+            dev.add_mac(mac)
+        top_up(dev)
+    sim.run_until(duration_us)
+    return 8 * delivered[0] / duration_us
+
+
+@pytest.mark.parametrize("n", [2, 10])
+def test_saturated_mlo_matches_per_link_bianchi(n, monkeypatch):
+    # at saturation every link always has a full A-MPDU to send, so a
+    # split only decides which queue holds which MPDU: every policy sends
+    # greedy's PPDUs, and each link is a saturated DCF with n contenders
+    ppdus = []  # (start, link, device, MPDU count)
+    real_begin_tx = Medium.begin_tx
+
+    def begin_tx(self, mac, ampdu):
+        ppdus.append((self.sim.now, self.index, mac.device, len(ampdu.mpdus)))
+        real_begin_tx(self, mac, ampdu)
+
+    monkeypatch.setattr(Medium, "begin_tx", begin_tx)
+    model = 2 * bianchi(n, phy.tx_duration(96_000, phy.MCS_TABLE[11], 40), 768_000)[1]
+    greedy = None
+    for policy in ("greedy", "uniform", "congestion", "condition"):
+        ppdus.clear()
+        s_sim = run_saturated_mlo(policy, n)
+        assert abs(s_sim - model) <= 0.05 * model, policy
+        assert {p[3] for p in ppdus} == {64}, policy
+        if greedy is None:
+            greedy = list(ppdus)
+        assert ppdus == greedy, policy

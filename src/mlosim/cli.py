@@ -94,9 +94,11 @@ def config_to_dict(cfg: ScenarioConfig, omit=()) -> dict:
             if value is not None and key not in omit}
 
 
-def write_atomic(path: Path, text: str) -> None:
+def write_atomic(path: Path, text) -> None:
+    """Write text, one string or an iterable of strings, to path atomically."""
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text)
+    with open(tmp, "w") as f:
+        f.writelines([text] if isinstance(text, str) else text)
     os.replace(tmp, path)
 
 
@@ -118,8 +120,7 @@ def _write_run_outputs(out_dir: Path, rows, streams) -> str:
     """Write delays.csv, the CCDFs and summary.txt; return the summary."""
     write_atomic(out_dir / "delays.csv", format_records(rows))
     for s in streams:
-        ccdf = export_ccdf(rows, s.kind)
-        write_atomic(out_dir / f"ccdf_{s.kind}.csv", format_ccdf(ccdf))
+        write_atomic(out_dir / f"ccdf_{s.kind}.csv", format_ccdf(export_ccdf(rows, s.kind)))
     summary = format_summary(evaluate(rows, streams))
     write_atomic(out_dir / "summary.txt", summary)
     return summary

@@ -9,7 +9,9 @@ added here with the SNR from the station's distance to the AP.  A run
 pre-generates all application frames (their randomness depends only on
 the seed and the per-stream RNG labels), schedules their buffer
 arrivals, runs the event loop to the horizon, and reads each frame's
-outcome off the frame, unfinished frames as LOST.
+outcome off the frame, unfinished frames as LOST.  A seed's result holds
+one stats.Outcomes block of delays per (station, stream), ordered by
+station, then stream name; run_seeds concatenates them in seed order.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 from . import mld, phy
 from .engine import US_PER_SEC, Simulator, rng_stream
 from .mac import LinkMac, Medium
-from .stats import DelayRecord, frame_rows
+from .stats import Outcomes, seed_outcomes
 from .traffic import (AP_ID, TRAFFIC_KINDS, StreamConfig, default_stream_set,
                       generate_frames)
 
@@ -222,7 +224,7 @@ class Experiment:
 
         # arrivals are chained per stream (each event schedules its
         # successor) to keep the event heap shallow
-        self.frames = []
+        self.chains = {}  # (station, stream kind) -> its frames in index order
         for sta in range(1, cfg.n_sta + 1):
             act = self.deployment.activation_us[sta - 1]
             for stream in self.streams:
@@ -231,9 +233,13 @@ class Experiment:
                 chain = generate_frames(stream, sta, size_rng, jitter_rng, act,
                                         cfg.horizon_us)
                 if chain:
-                    self.frames.extend(chain)
+                    self.chains[sta, stream.kind] = chain
                     self.sim.schedule(chain[0].arrival_time, self._on_arrival, chain, 0)
         self.sim.schedule(cfg.update_period_us, self._tick)
+
+    @property
+    def frames(self) -> list:
+        return [f for chain in self.chains.values() for f in chain]
 
     def _on_arrival(self, chain: list, i: int):
         if i + 1 < len(chain):
@@ -249,13 +255,18 @@ class Experiment:
         if nxt <= self.cfg.horizon_us:
             self.sim.schedule(nxt, self._tick)
 
-    def run(self) -> list[DelayRecord]:
+    def run(self) -> Outcomes:
         self.sim.run_until(self.cfg.horizon_us)
-        return frame_rows(self.frames, self.seed)
+        return seed_outcomes(self.seed, self.chains)
 
 
-def run_one(cfg: ScenarioConfig, seed: int) -> list[DelayRecord]:
-    return Experiment(cfg, seed).run()
+def run_one(cfg: ScenarioConfig, seed: int) -> Outcomes:
+    """One seed's outcomes; an error in it names the seed and the cell."""
+    try:
+        return Experiment(cfg, seed).run()
+    except Exception as e:
+        raise RuntimeError(f"seed {seed} failed (policy={cfg.policy} links={cfg.links} "
+                           f"n_sta={cfg.n_sta}): {e}") from e
 
 
 def _seed_task(args):
@@ -263,15 +274,15 @@ def _seed_task(args):
     return run_one(cfg, seed)
 
 
-def run_seeds(cfg: ScenarioConfig, workers: int = 1) -> list[DelayRecord]:
-    """One independent simulation per seed; records merged in seed order.
+def run_seeds(cfg: ScenarioConfig, workers: int = 1) -> Outcomes:
+    """One independent simulation per seed; blocks merged in seed order.
     The pool starts all its workers at once, so it gets no more than seeds."""
     if workers > 1 and len(cfg.seeds) > 1:
         with ProcessPoolExecutor(max_workers=min(workers, len(cfg.seeds))) as pool:
             results = list(pool.map(_seed_task, [(cfg, s) for s in cfg.seeds]))
     else:
         results = [run_one(cfg, seed) for seed in cfg.seeds]
-    merged = []
-    for rows in results:
-        merged.extend(rows)
+    merged = Outcomes()
+    for result in results:
+        merged.extend(result)
     return merged

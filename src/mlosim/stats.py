@@ -6,6 +6,11 @@ None in memory and the word LOST in files.  It sorts above every finite
 delay, so a station with more than 1% lost frames cannot pass a
 99th-percentile check no matter how fast the rest was delivered.
 
+Outcomes are columnar: per (seed, station, stream) one array('q') of
+delays indexed by frame index, LOST spelled -1 (traffic.UNSET, so an
+unfinished frame reads LOST as it stands) inside this module only.  Blocks
+run in delays.csv order: seeds as listed, then station, then stream name.
+
 The headline metric mirrors the evaluation procedure: per-station p99
 over seed-merged samples, worst station compared against the stream's
 delay budget; a capacity search (in `cli`) raises the station count until
@@ -15,12 +20,15 @@ a stream misses its budget, and its result is formatted here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from array import array
+from bisect import bisect_left
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .traffic import UNSET, StreamConfig
 
 LOST = None
+_LOST_US = UNSET  # LOST in a column
 
 
 class DelayRecord(NamedTuple):
@@ -32,6 +40,35 @@ class DelayRecord(NamedTuple):
     delay_us: int | None
 
 
+@dataclass
+class Outcomes:
+    """Frame outcomes: (seed, station, stream) -> delays, in delays.csv
+    order; len() counts frames and iterating yields rows."""
+    blocks: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return sum(map(len, self.blocks.values()))
+
+    def __iter__(self):
+        for (seed, station, stream), delays in self.blocks.items():
+            for i, d in enumerate(delays):
+                yield DelayRecord(seed, station, stream, i, LOST if d == _LOST_US else d)
+
+    def extend(self, rows) -> None:
+        """Add another result's blocks, or rows each at its block's next index."""
+        if isinstance(rows, Outcomes):
+            self.blocks.update(rows.blocks)
+            return
+        for seed, station, stream, index, delay in rows:
+            delays = self.blocks.setdefault((seed, station, stream), array("q"))
+            if index != len(delays):
+                raise ValueError(f"frame index {index} of {(seed, station, stream)}, "
+                                 f"expected {len(delays)}")
+            if delay is not LOST and delay < 0:
+                raise ValueError(f"negative delay {delay}")
+            delays.append(_LOST_US if delay is LOST else delay)
+
+
 def record(frame, delay_us):
     """Set a frame's one outcome: its delay in microseconds, or LOST."""
     if frame.delay_us != UNSET:
@@ -40,35 +77,26 @@ def record(frame, delay_us):
     frame.delay_us = delay_us
 
 
-def frame_rows(frames, seed: int) -> list[DelayRecord]:
-    """One row per frame, sorted by (station, stream, frame index); a frame
-    with no outcome yet was unfinished at the horizon and counts as LOST.
-    One seed and unique (station, stream, frame index): plain tuple order.
-    """
-    rows = [DelayRecord(seed, f.station, f.stream.kind, f.index,
-                        LOST if f.delay_us == UNSET else f.delay_us)
-            for f in frames]
-    rows.sort()
-    return rows
+def seed_outcomes(seed: int, chains: dict) -> Outcomes:
+    """One block per (station, stream) chain; a frame still UNSET reads LOST."""
+    return Outcomes({(seed, sta, kind): array("q", [_LOST_US if f.delay_us is LOST
+                                                    else f.delay_us for f in chain])
+                     for (sta, kind), chain in sorted(chains.items())})
 
 
-def _sort_key(delay) -> tuple:
-    """Orders delays ascending with LOST above every finite one."""
-    return (delay is LOST, delay or 0)
-
-
-def percentile(samples: list, p: float) -> int | None:
+def percentile(samples, p: float) -> int | None:
     """Nearest-rank percentile of delays, LOST sorting above every one.
 
-    Sample at 1-based index ceil(p*N) of the ascending sort.  The epsilon
-    guards against float noise in p*N landing a hair above an integer.
+    Sample at 1-based index ceil(p*N) of the ascending sort, LOST spelled
+    None or as in a column.  The epsilon guards against float noise in p*N
+    landing a hair above an integer.
     """
     if not samples:
         raise ValueError("no samples")
     if not 0 < p <= 1:
         raise ValueError("p must be in (0, 1]")
     rank = math.ceil(p * len(samples) - 1e-9)
-    finite = sorted(d for d in samples if d is not LOST)
+    finite = sorted(d for d in samples if d is not LOST and d != _LOST_US)
     return finite[rank - 1] if rank <= len(finite) else LOST
 
 
@@ -81,21 +109,26 @@ class StreamVerdict:
     station_p99: dict
 
 
-def verdict(records: list, stream_kind: str, pdb_us: int) -> StreamVerdict:
-    """Worst per-station p99 for one stream, merged across seeds."""
-    by_station: dict[int, list] = {}
-    for r in records:
-        if r.stream == stream_kind:
-            by_station.setdefault(r.station, []).append(r.delay_us)
+def _station_columns(records: Outcomes, stream_kind: str) -> dict[int, array]:
+    by_station: dict[int, array] = {}
+    for (_, station, stream), delays in records.blocks.items():
+        if stream == stream_kind:
+            by_station.setdefault(station, array("q")).extend(delays)
     if not by_station:
         raise ValueError(f"no records for stream {stream_kind!r}")
+    return by_station
+
+
+def verdict(records: Outcomes, stream_kind: str, pdb_us: int) -> StreamVerdict:
+    """Worst per-station p99 for one stream, merged across seeds."""
+    by_station = _station_columns(records, stream_kind)
     station_p99 = {sta: percentile(v, 0.99) for sta, v in sorted(by_station.items())}
-    worst = max(station_p99.values(), key=_sort_key)
+    worst = LOST if LOST in station_p99.values() else max(station_p99.values())
     passed = worst is not LOST and worst <= pdb_us
     return StreamVerdict(stream_kind, worst, pdb_us, passed, station_p99)
 
 
-def evaluate(records: list, streams: list[StreamConfig]) -> list[StreamVerdict]:
+def evaluate(records: Outcomes, streams: list[StreamConfig]) -> list[StreamVerdict]:
     return [verdict(records, s.kind, s.pdb_us) for s in streams]
 
 
@@ -103,26 +136,18 @@ def all_pass(verdicts: list[StreamVerdict]) -> bool:
     return all(v.passed for v in verdicts)
 
 
-def export_ccdf(records: list, stream_kind: str) -> list[tuple[int, float]]:
+def export_ccdf(records: Outcomes, stream_kind: str) -> list[tuple[int, float]]:
     """Pooled empirical CCDF: P(delay > d) at each distinct finite delay.
 
     LOST frames keep the tail from reaching zero (residual floor).
     """
-    delays = [r.delay_us for r in records if r.stream == stream_kind]
-    if not delays:
-        raise ValueError(f"no records for stream {stream_kind!r}")
-    finite = sorted(d for d in delays if d is not LOST)
-    n = len(delays)
-    rows = []
-    seen = 0
-    i = 0
-    while i < len(finite):
-        d = finite[i]
-        while i < len(finite) and finite[i] == d:
-            seen += 1
-            i += 1
-        rows.append((d, (n - seen) / n))
-    return rows
+    ordered = sorted(d for delays in _station_columns(records, stream_kind).values()
+                     for d in delays)
+    n = len(ordered)
+    lost = bisect_left(ordered, 0)
+    return [(d, (n - (i + 1 - lost)) / n)
+            for i, d in enumerate(ordered[lost:], lost)
+            if i + 1 == n or ordered[i + 1] != d]
 
 
 @dataclass
@@ -136,25 +161,28 @@ class CapacityResult:
 # -- file formats ---------------------------------------------------------
 
 def format_delay(delay) -> str:
-    if delay is LOST:
-        return "LOST"
-    return str(int(delay))
+    return "LOST" if delay is LOST else str(int(delay))
 
 
-def format_records(records: list[DelayRecord]) -> str:
-    lines = ["seed,station,stream,frame_index,delay_us"]
-    for r in records:
-        lines.append(f"{r.seed},{r.station},{r.stream},{r.frame_index},{format_delay(r.delay_us)}")
-    return "\n".join(lines) + "\n"
+def format_records(records: Outcomes):
+    """delays.csv as a header line, then one string of lines per block."""
+    yield "seed,station,stream,frame_index,delay_us\n"
+    for (seed, station, stream), delays in records.blocks.items():
+        head = f"{seed},{station},{stream},"
+        yield "".join([f"{head}{i},{'LOST' if d == _LOST_US else d}\n"
+                       for i, d in enumerate(delays)])
 
 
-def parse_records(text: str) -> list[DelayRecord]:
-    records = []
-    lines = text.strip().splitlines()
-    for line in lines[1:]:
-        seed, sta, stream, idx, delay = line.split(",")
-        records.append(DelayRecord(int(seed), int(sta), stream, int(idx),
-                                   LOST if delay == "LOST" else int(delay)))
+def parse_records(text: str) -> Outcomes:
+    """Read delays.csv back; ValueError names the first line that is wrong."""
+    records = Outcomes()
+    lines = text.strip().splitlines()[1:]
+    try:  # every row before a bad one is in, so the bad one is line len + 2
+        records.extend(DelayRecord(int(seed), int(sta), stream, int(idx),
+                                   LOST if delay == "LOST" else int(delay))
+                       for seed, sta, stream, idx, delay in (line.split(",") for line in lines))
+    except ValueError as e:
+        raise ValueError(f"delays.csv line {len(records) + 2}: {e}") from None
     return records
 
 

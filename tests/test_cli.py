@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from mlosim import cli, mld
+from mlosim import cli, mld, scenario
 from mlosim.scenario import LINK_SETS
 
 
@@ -272,6 +272,22 @@ def test_run_internal_error_exits_2(tmp_path, monkeypatch, capsys):
     code, _ = run_cli(tmp_path, "run", TINY)
     assert code == 2
     assert "internal error: simulator crashed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failing_seed_is_named(tmp_path, monkeypatch, capsys, workers):
+    real_run = scenario.Experiment.run
+
+    def run(self):
+        if self.seed == 2:
+            raise ZeroDivisionError("boom")
+        return real_run(self)
+
+    monkeypatch.setattr(scenario.Experiment, "run", run)
+    code, _ = run_cli(tmp_path, "run", TINY, extra=("--seeds", "1,2", "--workers", workers))
+    assert code == 2
+    assert ("internal error: seed 2 failed (policy=greedy links=2x40 n_sta=1): boom"
+            in capsys.readouterr().err)
 
 
 def test_console_entry_point(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import pickle
 import statistics
 from dataclasses import replace
 
@@ -207,14 +208,14 @@ def test_every_frame_recorded_exactly_once():
 
 def test_determinism_same_seed_byte_identical():
     cfg = cfg_with(policy="congestion", n_sta=2, sim_duration_s=2.0)
-    a = format_records(run_one(cfg, seed=9))
-    b = format_records(run_one(cfg, seed=9))
+    a = "".join(format_records(run_one(cfg, seed=9)))
+    b = "".join(format_records(run_one(cfg, seed=9)))
     assert a == b
 
 
 def test_distinct_seeds_differ():
     cfg = cfg_with(n_sta=1, sim_duration_s=2.0)
-    assert format_records(run_one(cfg, 1)) != format_records(run_one(cfg, 2))
+    assert "".join(format_records(run_one(cfg, 1))) != "".join(format_records(run_one(cfg, 2)))
 
 
 def test_run_seeds_merges_in_seed_order():
@@ -225,7 +226,7 @@ def test_run_seeds_merges_in_seed_order():
     assert set(seeds_seen) == {3, 5}
     assert seeds_seen == sorted(seeds_seen, key=lambda s: (5, 3).index(s))
     first = run_one(cfg, 5)
-    assert rows[:len(first)] == first
+    assert list(rows)[:len(first)] == list(first)
 
 
 def test_run_seeds_parallel_equals_serial():
@@ -258,6 +259,14 @@ def test_run_seeds_pool_capped_at_seed_count(monkeypatch):
     assert run_seeds(cfg, workers=200) == run_seeds(cfg, workers=1)
     run_seeds(replace(cfg, seeds=(1, 2, 3)), workers=2)
     assert seen == [2, 2]
+
+
+def test_seed_result_pickles_compactly():
+    # one array of 8-byte delays per (station, stream): about 8 B per frame
+    cfg = cfg_with(policy="sl", links="80", n_sta=6, sim_duration_s=3.0)
+    result = run_one(cfg, 0)
+    assert len(result) >= 1000
+    assert len(pickle.dumps(result)) <= 10 * len(result)
 
 
 def test_overload_marks_frames_lost():

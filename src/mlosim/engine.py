@@ -24,6 +24,7 @@ Labels used by the simulator:
 
 import hashlib
 import heapq
+import itertools
 import random
 
 US_PER_SEC = 1_000_000
@@ -54,7 +55,7 @@ class Simulator:
         self.seed = seed
         self.now = 0
         self._heap = []
-        self._seq = 0
+        self._seq = itertools.count()
 
     def stream(self, label):
         """A fresh substream for (this simulation's seed, label)."""
@@ -67,9 +68,8 @@ class Simulator:
         """
         if at < self.now:
             raise SimulationError(f"schedule at t={at} before clock t={self.now}")
-        entry = [at, self._seq, fn, args]
+        entry = [at, next(self._seq), fn, args]
         heapq.heappush(self._heap, entry)
-        self._seq += 1
         return entry
 
     def cancel(self, handle):

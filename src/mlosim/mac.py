@@ -32,6 +32,7 @@ for the device's own airtime, which one estimator mode subtracts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import phy
@@ -78,7 +79,8 @@ def aggregate(queue: list, mcs: phy.McsEntry, bandwidth_mhz: int) -> Ampdu:
             break
         total += m.payload
         n += 1
-    return Ampdu(queue[:n], phy.tx_duration(total, mcs, bandwidth_mhz), dest, mcs)
+    # phy.tx_duration(total, mcs, bandwidth_mhz), from the rate at hand
+    return Ampdu(queue[:n], phy.PREAMBLE_US + math.ceil(total * 8 / rate), dest, mcs)
 
 
 def retry_or_drop(mpdu: Mpdu) -> bool:
@@ -245,13 +247,11 @@ class LinkMac:
 
     # -- contention ---------------------------------------------------
 
-    def ensure_contending(self):
-        """Enter contention; no-op while contending or transmitting."""
-        contenders = self.medium.contenders
-        if self in contenders or self.in_flight is not None:
-            return
+    def enter_contention(self):
+        """Draw a backoff and join the contenders, arming a grant if the
+        medium is idle.  Only while neither contending nor transmitting."""
         self.backoff = self.backoff_rng.randint(0, self.cw)
-        contenders[self] = None
+        self.medium.contenders[self] = None
         if not self.medium.active:
             self._arm_grant(self.sim.now)
 
@@ -269,14 +269,11 @@ class LinkMac:
         self.medium.begin_tx(self, ampdu)
 
     def abort_contention(self):
-        """Leave contention, cancelling any pending grant; no-op otherwise."""
-        contenders = self.medium.contenders
-        if self not in contenders:
-            return
+        """Leave contention, cancelling any pending grant.  Only while contending."""
         if self.grant is not None:
             self.sim.cancel(self.grant)
             self.grant = None
-        del contenders[self]
+        del self.medium.contenders[self]
 
     # -- outcome ------------------------------------------------------
 

@@ -18,7 +18,10 @@ The pre-splitting policies re-run on every BlockAck or timeout
 resolution: all MPDUs still waiting in any link's queue are recalled and
 the full pool is split again.  A link whose share lands on a busy medium
 simply keeps the MPDUs parked until the next restart, which is what
-starves transfers when one link never wins access.
+starves transfers when one link never wins access.  A split's counts
+depend only on the pool size and the links' weights, so a device
+apportions each pool size once and recomputes the shares only when the
+weights move (free time on an estimator tick, a rate on a record).
 
 stats.record puts a frame's outcome on the frame: its delay once the
 BlockAck confirming its last fragment completes, or LOST when the buffer
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from collections.abc import Sequence
 from itertools import repeat
 from operator import attrgetter
 
@@ -97,7 +101,7 @@ def split_uniform(n: int, i: int) -> list[int]:
     return counts
 
 
-def split_weighted(n: int, weights: list[float]) -> list[int]:
+def split_weighted(n: int, weights: Sequence[float]) -> list[int]:
     """Largest-remainder apportionment of n items by weight.
 
     Exact sum is guaranteed; remainder ties break toward the lower index.
@@ -117,26 +121,27 @@ def split_weighted(n: int, weights: list[float]) -> list[int]:
     return counts
 
 
-def _uniform_shares(dev: "MldDevice", n: int) -> list[int]:
-    return split_uniform(n, len(dev.macs))
+def _uniform_weights(dev: "MldDevice") -> None:
+    return None  # equal shares, whatever the links' state
 
 
-def _congestion_shares(dev: "MldDevice", n: int) -> list[int]:
-    return split_weighted(n, [est.free_time_us() for est in dev.estimators])
+def _congestion_weights(dev: "MldDevice") -> tuple:
+    return tuple([est.free_time_us() for est in dev.estimators])
 
 
-def _condition_shares(dev: "MldDevice", n: int) -> list[int]:
+def _condition_weights(dev: "MldDevice") -> tuple:
     dest = dev.pool[0].dst
-    return split_weighted(n, [est.free_time_us() * mac.decided_rate(dest)
-                              for est, mac in zip(dev.estimators, dev.macs)])
+    return tuple([est.free_time_us() * mac.decided_rate(dest)
+                  for est, mac in zip(dev.estimators, dev.macs)])
 
 
-# Share rules of the pre-splitting policies: per-link MPDU counts for the
-# n pooled MPDUs.  sl and greedy have none; their queues are the pool.
+# Share rules of the pre-splitting policies: the per-link weights the
+# pooled MPDUs are split by (None: split_uniform).  sl and greedy have
+# none; their queues are the pool.
 SHARE_RULES = {
-    UNIFORM: _uniform_shares,
-    CONGESTION: _congestion_shares,
-    CONDITION: _condition_shares,
+    UNIFORM: _uniform_weights,
+    CONGESTION: _congestion_weights,
+    CONDITION: _condition_weights,
 }
 
 
@@ -162,6 +167,9 @@ class MldDevice:
         self.queues: dict[LinkMac, list] = {}  # each link's queue, in mac order
         self.mpdu_load = 0
         self._seq = 0
+        # the split memo: per-link counts by pool size, for one weight vector
+        self._weights = None
+        self._counts: dict[int, tuple] = {}
         self.restart_count = 0
         self.admission_drops = 0
 
@@ -175,17 +183,18 @@ class MldDevice:
 
     def on_frame(self, frame: AppFrame):
         mpdus = fragment(frame)
-        if self.mpdu_load + len(mpdus) > self.buffer_cap:
+        n = len(mpdus)
+        if self.mpdu_load + n > self.buffer_cap:
             self.admission_drops += 1
             log.debug("dev%d buffer full, dropping %s frame %d",
                       self.device, frame.stream.kind, frame.index)
             record(frame, LOST)
             return
-        for m in mpdus:
-            m.seq = self._seq
-            self._seq += 1
-        self.mpdu_load += len(mpdus)
-        frame.mpdus_left = len(mpdus)
+        for seq, m in enumerate(mpdus, self._seq):
+            m.seq = seq
+        self._seq += n
+        self.mpdu_load += n
+        frame.mpdus_left = n
         self.pool.extend(mpdus)
         if self.shares:
             self._split()
@@ -194,7 +203,18 @@ class MldDevice:
     # -- policy ------------------------------------------------------------
 
     def _split(self):
-        counts = self.shares(self, len(self.pool))
+        """Empty the pool into the link queues by the policy's shares.  The
+        counts depend only on (weights, pool size), so each size is
+        apportioned once until the weights move."""
+        weights = self.shares(self)
+        if weights != self._weights:
+            self._weights, self._counts = weights, {}
+        n = len(self.pool)
+        counts = self._counts.get(n)
+        if counts is None:
+            counts = self._counts[n] = tuple(
+                split_uniform(n, len(self.macs)) if weights is None
+                else split_weighted(n, weights))
         start = 0
         for queue, c in zip(self.queues.values(), counts):
             if c:
@@ -203,12 +223,15 @@ class MldDevice:
         self.pool.clear()
 
     def _sync(self):
-        """The one contention rule: a link contends while its queue holds MPDUs."""
+        """The one contention rule: a link contends while its queue holds
+        MPDUs and it is not transmitting.  A MAC is called only to change
+        its state."""
         for mac, queue in self.queues.items():
-            if queue:
-                mac.ensure_contending()
-            else:
-                mac.abort_contention()
+            if mac in mac.medium.contenders:
+                if not queue:
+                    mac.abort_contention()
+            elif queue and mac.in_flight is None:
+                mac.enter_contention()
 
     # -- transmission service (called by LinkMac) ---------------------------
 

@@ -123,15 +123,15 @@ class ScenarioConfig:
 
     @property
     def horizon_us(self) -> int:
-        return int(self.sim_duration_s * US_PER_SEC)
+        return round(self.sim_duration_s * US_PER_SEC)
 
     @property
     def activation_window_us(self) -> int:
-        return int(self.activation_window_s * US_PER_SEC)
+        return round(self.activation_window_s * US_PER_SEC)
 
     @property
     def update_period_us(self) -> int:
-        return int(self.update_period_s * US_PER_SEC)
+        return round(self.update_period_s * US_PER_SEC)
 
 
 def streams_of(cfg: ScenarioConfig) -> list[StreamConfig]:
@@ -223,7 +223,8 @@ class Experiment:
                 medium.macs[sta].add_peer(AP_ID, s)
 
         # arrivals are chained per stream (each event schedules its
-        # successor) to keep the event heap shallow
+        # successor) to keep the event heap shallow; each carries the
+        # device its stream feeds
         self.chains = {}  # (station, stream kind) -> its frames in index order
         for sta in range(1, cfg.n_sta + 1):
             act = self.deployment.activation_us[sta - 1]
@@ -234,19 +235,18 @@ class Experiment:
                                         cfg.horizon_us)
                 if chain:
                     self.chains[sta, stream.kind] = chain
-                    self.sim.schedule(chain[0].arrival_time, self._on_arrival, chain, 0)
+                    target = self.devices[AP_ID if stream.downlink else sta]
+                    self.sim.schedule(chain[0].arrival_time, self._on_arrival, chain, 0, target)
         self.sim.schedule(cfg.update_period_us, self._tick)
 
     @property
     def frames(self) -> list:
         return [f for chain in self.chains.values() for f in chain]
 
-    def _on_arrival(self, chain: list, i: int):
+    def _on_arrival(self, chain: list, i: int, target: mld.MldDevice):
         if i + 1 < len(chain):
-            self.sim.schedule(chain[i + 1].arrival_time, self._on_arrival, chain, i + 1)
-        frame = chain[i]
-        target = AP_ID if frame.stream.downlink else frame.station
-        self.devices[target].on_frame(frame)
+            self.sim.schedule(chain[i + 1].arrival_time, self._on_arrival, chain, i + 1, target)
+        target.on_frame(chain[i])
 
     def _tick(self):
         for device in self.devices.values():

@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from itertools import count
 
 MPDU_PAYLOAD = 1500  # bytes
 
@@ -182,21 +183,14 @@ def generate_frames(cfg: StreamConfig, station: int, size_rng, jitter_rng,
     """All frames of one stream started at start_us: gen_time = start_us +
     k * periodicity_us below horizon_us, arrivals jittered no earlier than start_us.
 
-    Draw order is fixed (size then jitter, in frame order) so the sequence
+    size_rng draws every frame's size, then jitter_rng every frame's
+    jitter, each in frame order; the two share no state, so the sequence
     depends only on the stream's RNG labels, not on event interleaving.
     """
-    frames = []
-    k = 0
-    while True:
-        gen = start_us + k * cfg.periodicity_us
-        if gen >= horizon_us:
-            break
-        size = sample_frame_size(cfg, size_rng)
-        arrival = gen
-        if cfg.jitter_model is not None:
-            arrival = max(gen + round(sample_trunc_gauss(cfg.jitter_model, jitter_rng)),
-                          start_us)
-        frames.append(AppFrame(stream=cfg, station=station, index=k,
-                               gen_time=gen, arrival_time=arrival, size=size))
-        k += 1
-    return frames
+    gens = range(start_us, horizon_us, cfg.periodicity_us)
+    sizes = [sample_frame_size(cfg, size_rng) for _ in gens]
+    jitter = cfg.jitter_model
+    arrivals = gens if jitter is None else [
+        max(gen + round(sample_trunc_gauss(jitter, jitter_rng)), start_us) for gen in gens]
+    return [AppFrame(cfg, station, k, gen, arrival, size)
+            for k, gen, arrival, size in zip(count(), gens, arrivals, sizes)]

@@ -356,6 +356,77 @@ def test_conservation_across_allocation_and_restart():
     assert all(f.delay_us not in (LOST, UNSET) for f in frames)
 
 
+def fresh_counts(dev, n):
+    """The split of n pooled MPDUs computed from scratch for dev's policy."""
+    if dev.shares is mld.SHARE_RULES["uniform"]:
+        return split_uniform(n, len(dev.macs))
+    free = [est.free_time_us() for est in dev.estimators]
+    if dev.shares is mld.SHARE_RULES["condition"]:
+        dest = dev.pool[0].dst
+        free = [f * mac.decided_rate(dest) for f, mac in zip(free, dev.macs)]
+    return split_weighted(n, free)
+
+
+SPLIT_OPS = st.lists(st.one_of(
+    st.tuples(st.just("frame"), st.integers(1, 2), st.integers(1, 20_000)),
+    st.tuples(st.just("run"), st.integers(1, 8_000)),
+    st.tuples(st.just("busy"), st.integers(0, 2), st.integers(1, 6_000)),
+), min_size=1, max_size=40)
+
+
+@given(st.sampled_from(["uniform", "congestion", "condition"]), st.integers(2, 3),
+       st.floats(12.0, 20.0), SPLIT_OPS)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_split_memo_applies_fresh_counts(policy, n_links, snr_db, ops):
+    """Every split applies the counts a fresh apportionment gives for the
+    current weights, while arrivals, resolutions with failed MPDUs,
+    estimator ticks and rate records move them; the memo holds counts for
+    the current weight vector only, at most one per pool size."""
+    sim = Simulator(seed=5)
+    media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 40), j) for j in range(n_links)]
+    dev = MldDevice(sim, 0, policy, buffer_cap=32, update_period_us=4_000, ma_window=3)
+    for med in media:
+        mac = LinkMac(sim, med, 0, dev)  # windowed rate selection
+        for sta in (1, 2):
+            mac.add_peer(sta, snr_db + 2 * sta)  # MCS 4 and up lose MPDUs to noise
+        dev.add_mac(mac)
+
+    def tick():
+        dev.on_tick()
+        sim.schedule(sim.now + 4_000, tick)
+
+    sim.schedule(4_000, tick)
+    real_split = dev._split
+    splits = []
+
+    def checked_split():
+        n = len(dev.pool)
+        expected = fresh_counts(dev, n)
+        before = [len(q) for q in dev.queues.values()]
+        real_split()
+        assert [len(q) - b for q, b in zip(dev.queues.values(), before)] == expected
+        assert len(dev._counts) <= dev.buffer_cap + 1
+        for size, counts in dev._counts.items():
+            uniform = dev._weights is None
+            assert list(counts) == (split_uniform(size, n_links) if uniform
+                                    else split_weighted(size, dev._weights))
+        splits.append(n)
+
+    dev._split = checked_split
+    index = 0
+    for op in ops:
+        if op[0] == "frame":
+            dev.on_frame(dl_frame(op[2], station=op[1], index=index, t=sim.now))
+            index += 1
+        elif op[0] == "run":
+            sim.run_until(sim.now + op[1])
+        else:
+            media[op[1] % n_links].inject_busy(op[2])
+    sim.run_until(sim.now + 50_000)
+    assert dev.mpdu_load == sum(len(q) for q in dev.queues.values()) + sum(
+        len(m.in_flight.mpdus) for m in dev.macs if m.in_flight)
+
+
 def test_on_tick_feeds_estimators_from_medium():
     sim, media, dev = make_device("congestion", n_links=2)
     for t in range(0, 500_000, 100_000):

@@ -6,6 +6,7 @@ from dataclasses import replace
 import pytest
 
 from mlosim import scenario
+from mlosim.engine import Simulator
 from mlosim.scenario import (
     Deployment,
     Experiment,
@@ -75,6 +76,19 @@ def test_bad_counts_rejected():
         cfg_with(seeds=())
     with pytest.raises(ValueError):
         cfg_with(sim_duration_s=0.5)  # shorter than activation window
+
+
+def test_horizon_rounds_to_the_nearest_microsecond():
+    assert cfg_with(sim_duration_s=2.01).horizon_us == 2_010_000  # 2.01e6 is 2009999.99...
+
+
+def test_activation_window_rounds_to_the_nearest_microsecond():
+    cfg = cfg_with(sim_duration_s=5.0, activation_window_s=2.03)
+    assert cfg.activation_window_us == 2_030_000
+
+
+def test_update_period_rounds_to_the_nearest_microsecond():
+    assert cfg_with(update_period_s=4.1).update_period_us == 4_100_000
 
 
 def test_traffic_enabled_filter():
@@ -185,6 +199,44 @@ def test_frames_phase_shifted_by_activation():
 
 
 # -- running -----------------------------------------------------------------------
+
+# Events of one 1 s seed at n=8 (seed 700, activation window 0.1 s):
+# dispatched (run_until's count), schedule and cancel calls from the
+# experiment's build on, and restart_count summed over devices.  A change
+# that adds or drops an event re-pins these on purpose.
+PINNED_EVENTS = [
+    ("sl", "80", 11650, 16851, 5200, 0),
+    ("greedy", "2x40", 11382, 14331, 2947, 0),
+    ("uniform", "4x20", 23504, 31493, 7988, 3751),
+    ("congestion", "2x40", 17377, 23228, 5850, 1773),
+    ("condition", "2x40", 16215, 20012, 3795, 1334),
+]
+
+
+@pytest.mark.parametrize("policy,links,dispatched,scheduled,cancelled,restarts",
+                         PINNED_EVENTS, ids=[f"{p}-{l}" for p, l, *_ in PINNED_EVENTS])
+def test_event_counts_are_pinned(policy, links, dispatched, scheduled, cancelled,
+                                 restarts, monkeypatch):
+    calls = {"schedule": 0, "cancel": 0}
+    real_schedule, real_cancel = Simulator.schedule, Simulator.cancel
+
+    def schedule(self, at, fn, *args):
+        calls["schedule"] += 1
+        return real_schedule(self, at, fn, *args)
+
+    def cancel(self, handle):
+        calls["cancel"] += 1
+        return real_cancel(self, handle)
+
+    monkeypatch.setattr(Simulator, "schedule", schedule)
+    monkeypatch.setattr(Simulator, "cancel", cancel)
+    cfg = cfg_with(policy=policy, links=links, n_sta=8, sim_duration_s=1.0,
+                   activation_window_s=0.1, seeds=(700,))
+    exp = Experiment(cfg, 700)
+    assert exp.sim.run_until(cfg.horizon_us) == dispatched
+    assert (calls["schedule"], calls["cancel"]) == (scheduled, cancelled)
+    assert sum(d.restart_count for d in exp.devices.values()) == restarts
+
 
 def test_single_sta_underloaded_run_passes():
     cfg = cfg_with(n_sta=1, sim_duration_s=3.0)

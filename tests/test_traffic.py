@@ -12,6 +12,7 @@ from mlosim.traffic import (
     default_stream_set,
     fragment,
     generate_frames,
+    sample_frame_size,
     sample_trunc_gauss,
 )
 
@@ -159,6 +160,73 @@ def test_ul_streams_have_no_jitter_and_pose_fixed_size():
     pframes = generate_frames(pose, 2, None, None, 0, 200_000)
     assert all(f.size == 100 for f in pframes)
     assert [f.arrival_time for f in pframes] == [4000 * k for k in range(50)]
+
+
+def reference_frames(cfg, station, size_rng, jitter_rng, start_us, horizon_us):
+    """generate_frames as one loop interleaving the size and jitter draws."""
+    frames = []
+    k = 0
+    while True:
+        gen = start_us + k * cfg.periodicity_us
+        if gen >= horizon_us:
+            break
+        size = sample_frame_size(cfg, size_rng)
+        arrival = gen
+        if cfg.jitter_model is not None:
+            arrival = max(gen + round(sample_trunc_gauss(cfg.jitter_model, jitter_rng)),
+                          start_us)
+        frames.append(AppFrame(stream=cfg, station=station, index=k,
+                               gen_time=gen, arrival_time=arrival, size=size))
+        k += 1
+    return frames
+
+
+@st.composite
+def streams(draw):
+    """A stream of any kind; a Gaussian model with std > 0 gets a window at
+    least one std wide, so its rejection loop ends."""
+    periodicity = draw(st.integers(500, 20_000))
+    mean = draw(st.integers(1, 40_000))
+    size = mean
+    if draw(st.booleans()):
+        std = draw(st.sampled_from([0, 1, 500, 5_000]))
+        lo = draw(st.integers(max(1, mean - 2 * std), mean))
+        size = TruncGaussModel(mean=mean, std=std, min=lo, max=max(lo + std, mean))
+    kind = draw(st.sampled_from(["ul_video", "pose"]))
+    jitter = None
+    if draw(st.booleans()):
+        kind = "dl_video"
+        jstd = draw(st.sampled_from([0, 100, 2_000]))
+        span = draw(st.integers(min(jstd, periodicity - 1), periodicity - 1))
+        lo = draw(st.integers(-span, 0))  # a negative jitter clamps at start_us
+        jmean = draw(st.integers(lo, lo + span))
+        jitter = (TruncGaussModel(mean=jmean, std=0, min=jmean, max=jmean) if jstd == 0
+                  else TruncGaussModel(mean=jmean, std=jstd, min=lo, max=lo + span))
+    return StreamConfig(kind=kind, periodicity_us=periodicity, pdb_us=10_000,
+                        size_model=size, data_rate_mbps=mean * 8 / periodicity,
+                        jitter_model=jitter)
+
+
+@given(streams(), st.integers(0, 200_000), st.integers(-20_000, 100_000), st.integers(0, 99))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_generate_frames_matches_interleaved_reference(cfg, start, length, seed):
+    """Drawing sizes then jitters, each in frame order, gives the frames
+    and RNG states of one loop that interleaves them; start >= horizon
+    gives no frame."""
+    horizon = start + length
+    rngs = [rng_stream(seed, "s"), rng_stream(seed, "j")]
+    ref_rngs = [rng_stream(seed, "s"), rng_stream(seed, "j")]
+    frames = generate_frames(cfg, 3, *rngs, start, horizon)
+    ref = reference_frames(cfg, 3, *ref_rngs, start, horizon)
+    fields = ("stream", "station", "index", "gen_time", "arrival_time", "size",
+              "delay_us", "mpdus_left")
+    assert isinstance(frames, list)
+    assert [[getattr(f, a) for a in fields] for f in frames] == \
+        [[getattr(f, a) for a in fields] for f in ref]
+    assert [type(f.size) for f in frames] == [type(f.size) for f in ref]
+    assert [r.getstate() for r in rngs] == [r.getstate() for r in ref_rngs]
+    if start >= horizon:
+        assert frames == []
 
 
 def test_stream_config_rejects_jitter_on_ul():

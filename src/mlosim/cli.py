@@ -49,8 +49,10 @@ def load_config(path) -> dict:
             raw = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e.strerror}")
-    except json.JSONDecodeError as e:
+    except ValueError as e:  # a JSON or a UTF-8 decode error
         raise ConfigError(f"config {path} is not valid JSON: {e}")
+    except RecursionError:
+        raise ConfigError(f"config {path} nests too deeply")
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object")
     return raw
@@ -94,6 +96,16 @@ def config_to_dict(cfg: ScenarioConfig, omit=()) -> dict:
             if value is not None and key not in omit}
 
 
+def make_out_dir(path) -> Path:
+    """Create the --out directory, mapping a failure to a ConfigError."""
+    out_dir = Path(path)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"--out {path}: {e.strerror}")
+    return out_dir
+
+
 def write_atomic(path: Path, text) -> None:
     """Write text, one string or an iterable of strings, to path atomically."""
     tmp = path.with_name(path.name + ".tmp")
@@ -128,8 +140,7 @@ def _write_run_outputs(out_dir: Path, rows, streams) -> str:
 
 def cmd_run(args) -> int:
     cfg = resolve_config(load_config(args.config), seeds=args.seeds)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out)
     t0 = time.perf_counter()
     rows = run_seeds(cfg, workers=args.workers)
     summary = _write_run_outputs(out_dir, rows, streams_of(cfg))
@@ -146,8 +157,7 @@ def cmd_capacity(args) -> int:
         raise ConfigError("config key 'max_sta' must be a positive integer")
     _reject_set_keys(raw, CAPACITY_SETS, "capacity")
     cfg = resolve_config(raw, seeds=args.seeds, extra_keys=CAPACITY_KEYS)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out)
     t0 = time.perf_counter()
     result = capacity_search(cfg, max_n=max_n, workers=args.workers)
     write_atomic(out_dir / "capacity.txt", format_capacity(result))
@@ -219,8 +229,7 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"sweep cell ({policy}, {name}): {e}")
     kinds = [s.kind for s in streams_of(base_cfg)]
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(args.out)
     t0 = time.perf_counter()
     header = ["policy", "links", "n_sta"]
     header += [f"{k}_p99_us" for k in kinds] + ["overall"]

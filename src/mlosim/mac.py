@@ -24,15 +24,16 @@ a later instant is frozen the moment the medium turns busy.
 
 A MAC contends exactly while it is in its medium's contender table, where
 its upper MAC keeps it while it has MPDUs for it, so every grant sends a
-PPDU; it transmits exactly while that PPDU is in flight.  Busy time (data
-plus BlockAck airtime, not interframe gaps) is a coalesced `BusyTime` that
-estimators read for any period in O(1): one per medium, and one per MAC
-for the device's own airtime, which one estimator mode subtracts.
+PPDU; it transmits exactly while that PPDU is in flight.  Its `Ampdu` is
+the one record of the exchange, from the grant to the resolution.  Busy
+time (data plus BlockAck airtime, not interframe gaps) is a coalesced
+`BusyTime` that estimators read for any period in O(1): one per medium and
+one per MAC for the device's own airtime, which one estimator mode
+subtracts.  The medium writes every busy and every own interval.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from . import phy
@@ -51,12 +52,15 @@ MAX_AMPDU_US = 5484
 RETRY_LIMIT = 10
 
 
-@dataclass(slots=True)
+@dataclass(slots=True, eq=False)
 class Ampdu:
     mpdus: list
     duration_us: int
-    dst: int
-    mcs: phy.McsEntry
+    dst: int | None  # None, as mcs and mac, for foreign occupancy
+    mcs: phy.McsEntry | None
+    mac: "LinkMac | None" = None  # the sender; the medium sets these three
+    end: int = 0
+    collided: bool = False
 
 
 def aggregate(queue: list, mcs: phy.McsEntry, bandwidth_mhz: int) -> Ampdu:
@@ -79,8 +83,7 @@ def aggregate(queue: list, mcs: phy.McsEntry, bandwidth_mhz: int) -> Ampdu:
             break
         total += m.payload
         n += 1
-    # phy.tx_duration(total, mcs, bandwidth_mhz), from the rate at hand
-    return Ampdu(queue[:n], phy.PREAMBLE_US + math.ceil(total * 8 / rate), dest, mcs)
+    return Ampdu(queue[:n], phy.tx_duration(total, mcs, bandwidth_mhz), dest, mcs)
 
 
 def retry_or_drop(mpdu: Mpdu) -> bool:
@@ -116,14 +119,6 @@ class BusyTime:
         return self._cum + max(min(t, self._end) - self._start, 0)
 
 
-@dataclass(slots=True)
-class _Tx:
-    mac: "LinkMac | None"  # None marks injected foreign occupancy
-    ampdu: Ampdu | None
-    end: int
-    collided: bool = False
-
-
 class Medium:
     """One radio link's channel: contention, collisions, busy accounting.
     It freezes every countdown when it turns busy and resumes every one
@@ -138,7 +133,7 @@ class Medium:
         self.macs: dict[int, LinkMac] = {}  # by device id
         # frozen and resumed in entry order; neither step adds or removes one
         self.contenders: dict[LinkMac, None] = {}
-        self.active: list[_Tx] = []  # exchanges holding the medium
+        self.active: list[Ampdu] = []  # exchanges holding the medium
         self.busy = BusyTime()
 
     # -- sensing ------------------------------------------------------
@@ -158,20 +153,23 @@ class Medium:
     # -- transmission -------------------------------------------------
 
     def begin_tx(self, mac, ampdu: Ampdu):
-        self._occupy(mac, ampdu, ampdu.duration_us)
+        ampdu.mac = mac
+        self._occupy(ampdu)
 
     def inject_busy(self, duration_us: int):
         """Foreign occupancy: freezes contenders and counts as busy time."""
-        self._occupy(None, None, duration_us)
+        self._occupy(Ampdu([], duration_us, None, None))
 
-    def _occupy(self, mac, ampdu, duration_us: int):
+    def _occupy(self, tx: Ampdu):
         now = self.sim.now
-        tx = _Tx(mac, ampdu, now + duration_us)
+        tx.end = now + tx.duration_us
         for other in self.active:  # any overlap corrupts both PPDUs
             other.collided = True
             tx.collided = True
         self.active.append(tx)
         self.busy.mark(now, tx.end)
+        if tx.mac is not None:
+            tx.mac.own.mark(now, tx.end)
         for other in self.contenders:  # freeze every pending countdown
             # a grant armed for this instant (neither term changes while
             # it is pending) fires this same microsecond: let it collide
@@ -183,12 +181,12 @@ class Medium:
                 other.backoff -= (now - other.difs_end) // SLOT_US
         self.sim.schedule(tx.end, self._tx_end, tx)
 
-    def _tx_end(self, tx: _Tx):
+    def _tx_end(self, tx: Ampdu):
         if tx.mac is None or tx.collided:
             self.active.remove(tx)
             if tx.mac is not None:
                 # no preamble decoded, no BlockAck; sender resolves by timeout
-                tx.mac.on_tx_collided(tx.ampdu)
+                tx.mac.on_tx_collided(tx)
             self._maybe_idle()
             return
         # clean PPDU: receiver decodes each MPDU and answers with a
@@ -196,15 +194,15 @@ class Medium:
         now = self.sim.now
         ba_start, ba_end = now + SIFS_US, now + SIFS_US + BLOCK_ACK_US
         self.busy.mark(ba_start, ba_end)
-        bitmap = tx.mac.decode_bitmap(tx.ampdu)
-        receiver = self.macs.get(tx.ampdu.dst)
+        bitmap = tx.mac.decode_bitmap(tx)
+        receiver = self.macs.get(tx.dst)
         if receiver is not None:
             receiver.own.mark(ba_start, ba_end)
         self.sim.schedule(ba_end, self._ba_done, tx, bitmap)
 
-    def _ba_done(self, tx: _Tx, bitmap: list):
+    def _ba_done(self, tx: Ampdu, bitmap: list):
         self.active.remove(tx)
-        tx.mac.resolve(tx.ampdu, bitmap)
+        tx.mac.resolve(tx, bitmap)
         self._maybe_idle()
 
 
@@ -262,11 +260,8 @@ class LinkMac:
     def _on_grant(self):
         self.grant = None
         del self.medium.contenders[self]
-        ampdu = self.owner.build_ampdu(self)
-        self.in_flight = ampdu
-        now = self.sim.now
-        self.own.mark(now, now + ampdu.duration_us)
-        self.medium.begin_tx(self, ampdu)
+        self.in_flight = self.owner.build_ampdu(self)
+        self.medium.begin_tx(self, self.in_flight)
 
     def abort_contention(self):
         """Leave contention, cancelling any pending grant.  Only while contending."""
@@ -297,7 +292,7 @@ class LinkMac:
         delivered = 0.0 if timed_out else sum(bitmap) / len(bitmap)
         self.peers[ampdu.dst].record(ampdu.mcs.index, delivered)
         self.in_flight = None
-        self.owner.on_resolution(self, ampdu, bitmap)
+        self.owner.on_resolution(ampdu, bitmap)
 
     def sensed_busy_total(self, t: int, count_own_tx: bool = True) -> int:
         """Airtime this device has sensed on the link up to t."""

@@ -243,7 +243,7 @@ class MldDevice:
             self._sync()
         return ampdu
 
-    def on_resolution(self, mac: LinkMac, ampdu: Ampdu, bitmap):
+    def on_resolution(self, ampdu: Ampdu, bitmap):
         now = self.sim.now
         requeue = []
         # no bitmap: the PPDU collided and timed out, every MPDU failed

@@ -43,6 +43,11 @@ class TruncGaussModel:
             raise ValueError("mean outside [min, max]")
         if self.std < 0:
             raise ValueError("negative std")
+        if self.std > 0:  # rejection sampling takes 1 / mass draws per value
+            z = self.std * math.sqrt(2)
+            mass = (math.erf((self.max - self.mean) / z) - math.erf((self.min - self.mean) / z)) / 2
+            if mass < 1e-3:
+                raise ValueError("[min, max] holds under 0.1% of the Gaussian's mass")
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,17 @@ def test_run_rejects_malformed_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [b'{"x": "\xff"}', b"[" * 100_000],
+                         ids=["not-utf8", "too-deep"])
+def test_run_rejects_undecodable_config(tmp_path, capsys, content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code = cli.main(["run", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and "internal error" not in err
+
+
 def test_run_rejects_json_array_config(tmp_path, capsys):
     path = tmp_path / "list.json"
     path.write_text("[1, 2]")
@@ -354,6 +365,20 @@ def test_command_rejects_keys_it_sets(tmp_path, capsys, command, key, value):
     assert code == 1
     assert f"config key {key!r}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("run", {"n_sta": 1}),
+    ("capacity", {"max_sta": 1}),
+    ("sweep", {"policies": ["greedy"], "sta_counts": [1]}),
+], ids=["run", "capacity", "sweep"])
+def test_out_that_is_a_file_is_a_usage_error(tmp_path, capsys, command, extra):
+    (tmp_path / "out").write_text("")
+    config = {"sim_duration_s": 2.0, "activation_window_s": 0.1, "seeds": [1], **extra}
+    code, _ = run_cli(tmp_path, command, config)
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "--out" in err and "internal error" not in err
 
 
 def test_capacity_rejects_bool_max_sta(tmp_path, capsys):

@@ -56,7 +56,7 @@ class StubOwner:
         del self.queue[:len(ampdu.mpdus)]
         return ampdu
 
-    def on_resolution(self, mac, ampdu, bitmap):
+    def on_resolution(self, ampdu, bitmap):
         self.resolutions.append((self.sim.now, ampdu, bitmap))
 
 
@@ -427,6 +427,40 @@ def test_collided_ppdus_count_once_in_busy_time():
     assert medium.busy_total(10_000) == DUR_5  # overlap coalesced, no BA
 
 
+def test_collided_senders_own_only_their_ppdu():
+    sim, medium, macs, owners = setup_link(n_macs=2)
+    a, b = macs
+    a.backoff_rng = FixedRng([0])
+    b.backoff_rng = FixedRng([0])
+    owners[0].queue = make_mpdus(7500)
+    owners[1].queue = make_mpdus(3000, station=2)
+    a.enter_contention()
+    b.enter_contention()
+    sim.run_until(10_000)
+    assert [o.resolutions[0][2] for o in owners] == [None, None]
+    # each ledger holds its own PPDU's airtime, and no BlockAck was sent
+    assert a.own.total(10_000) == DUR_5
+    assert b.own.total(10_000) == phy.tx_duration(3000, MCS11_80, 80)
+
+
+def test_exchange_is_one_record_from_grant_to_resolution():
+    sim, medium, (mac,), (owner,) = setup_link()
+    mac.backoff_rng = FixedRng([0])
+    owner.queue = make_mpdus(7500)
+    mac.enter_contention()
+    sim.run_until(DIFS_US)
+    ampdu = mac.in_flight
+    assert medium.active == [ampdu]
+    assert ampdu.mac is mac and ampdu.end == DIFS_US + DUR_5
+    sim.run_until(10_000)
+    assert owner.resolutions[0][1] is ampdu
+    assert medium.active == [] and mac.in_flight is None
+    medium.inject_busy(100)
+    (foreign,) = medium.active
+    assert isinstance(foreign, Ampdu)
+    assert foreign.mpdus == [] and foreign.mac is None
+
+
 # -- saturation against Bianchi's model ----------------------------------
 
 def bianchi(n, ppdu_us, payload_bits):
@@ -468,12 +502,12 @@ class SaturatedOwner:
         self.ppdus += 1
         return aggregate(self.mpdus, mac.pick_mcs(0), mac.bandwidth)
 
-    def on_resolution(self, mac, ampdu, bitmap):
+    def on_resolution(self, ampdu, bitmap):
         if bitmap is None:
             self.collided += 1
         else:
             self.delivered_bits += 8 * sum(m.payload for m in ampdu.mpdus)
-        mac.enter_contention()
+        ampdu.mac.enter_contention()
 
 
 @pytest.mark.parametrize("n", [2, 10, 30])

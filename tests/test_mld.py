@@ -326,11 +326,11 @@ def test_sibling_delivered_after_retry_exhaustion_keeps_frame_lost(monkeypatch):
     first = dev.build_ampdu(mac)
     assert len(first.mpdus) == 4
     # fragments 0 and 1 exhaust their retries, 2 and 3 are requeued
-    dev.on_resolution(mac, first, [False] * 4)
+    dev.on_resolution(first, [False] * 4)
     assert frame.delay_us is LOST
     retry = dev.build_ampdu(mac)
     assert [m.index for m in retry.mpdus] == [2, 3]
-    dev.on_resolution(mac, retry, [True, True])  # siblings arrive after all
+    dev.on_resolution(retry, [True, True])  # siblings arrive after all
     assert frame.delay_us is LOST
     assert recorded == [frame]
     assert dev.mpdu_load == 0
@@ -457,10 +457,10 @@ def run_saturated_mlo(policy, n, duration_us=5_000_000):
     def saturated(dev):
         real_on_resolution = dev.on_resolution
 
-        def on_resolution(mac, ampdu, bitmap):
+        def on_resolution(ampdu, bitmap):
             if bitmap is not None:
                 delivered[0] += sum(m.payload for m, ok in zip(ampdu.mpdus, bitmap) if ok)
-            real_on_resolution(mac, ampdu, bitmap)
+            real_on_resolution(ampdu, bitmap)
             top_up(dev)
 
         dev.on_resolution = on_resolution

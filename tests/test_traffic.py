@@ -40,6 +40,20 @@ def test_degenerate_std_returns_mean():
     assert all(sample_trunc_gauss(model, rng) == 100 for _ in range(10))
 
 
+@pytest.mark.parametrize("mean,std,lo,hi,ok", [
+    (5, 3, 5, 5, False),  # sample_trunc_gauss would never return
+    (0, 1, -1e-6, 1e-6, False),  # about 1.25M draws per value
+    (5, 0, 5, 5, True),  # the degenerate mean
+    (0, 1, -0.25, 0.25, True),  # 20% of the mass
+])
+def test_trunc_gauss_rejects_window_it_almost_never_reaches(mean, std, lo, hi, ok):
+    if ok:
+        TruncGaussModel(mean, std, lo, hi)
+    else:
+        with pytest.raises(ValueError, match="mass"):
+            TruncGaussModel(mean, std, lo, hi)
+
+
 def test_jitter_draws_centered_and_bounded():
     rng = rng_stream(1, "traffic.sta0.dl_video.jitter")
     draws = [sample_trunc_gauss(JITTER, rng) for _ in range(100_000)]

@@ -8,8 +8,8 @@ entry.  A MAC calls its upper MAC only through build_ampdu and
 on_resolution.  Contention is DCF-style CSMA/CA with a single access
 category (CWmin 15, CWmax 1023, AIFS = DIFS): DIFS sensing, slotted
 random backoff, binary exponential backoff on acknowledgment timeout.
-The `Medium` runs every countdown: it freezes each pending one when it
-turns busy and resumes each one when it turns idle.  An exchange holds
+A MAC keeps its CW; the `Medium` holds every countdown and draws it from
+that CW, freezes it when busy and resumes it when idle.  An exchange holds
 the medium until its BlockAck ends, or until its PPDU ends if collided.
 Data goes out as AMPDUs bounded by both a 64-MPDU count limit and a
 5.484 ms airtime limit; delivery is confirmed by a fixed-duration
@@ -121,7 +121,7 @@ class BusyTime:
 
 class Medium:
     """One radio link's channel: contention, collisions, busy accounting.
-    It freezes every countdown when it turns busy and resumes every one
+    It holds each contender's countdown, frozen while it is busy and resumed
     when it turns idle; an exchange in `active` holds it busy until its
     BlockAck ends, or until its PPDU ends if collided."""
 
@@ -131,8 +131,9 @@ class Medium:
         self.index = index
         self.err_rng = sim.stream(f"phy.err.link{index}")
         self.macs: dict[int, LinkMac] = {}  # by device id
-        # frozen and resumed in entry order; neither step adds or removes one
-        self.contenders: dict[LinkMac, None] = {}
+        # per contender [backoff slots left, DIFS end, pending grant], frozen
+        # and resumed in entry order; neither step adds or removes one
+        self.contenders: dict[LinkMac, list] = {}
         self.active: list[Ampdu] = []  # exchanges holding the medium
         self.busy = BusyTime()
 
@@ -142,13 +143,36 @@ class Medium:
         """Cumulative airtime on this link in [0, t]."""
         return self.busy.total(t)
 
+    # -- contention ---------------------------------------------------
+
+    def contend(self, mac):
+        """Join the contenders with a backoff drawn from mac's CW, arming a
+        grant if idle.  Only while mac neither contends nor transmits."""
+        count = self.contenders[mac] = [mac.backoff_rng.randint(0, mac.cw), 0, None]
+        if not self.active:
+            self._arm(mac, count, self.sim.now)
+
+    def withdraw(self, mac):
+        """Leave contention, cancelling any pending grant.  Only while contending."""
+        grant = self.contenders.pop(mac)[2]
+        if grant is not None:
+            self.sim.cancel(grant)
+
+    def _arm(self, mac, count, idle_since: int):
+        count[1] = idle_since + DIFS_US
+        count[2] = self.sim.schedule(count[1] + count[0] * SLOT_US, self._grant, mac)
+
+    def _grant(self, mac):
+        del self.contenders[mac]  # so begin_tx's freeze skips it
+        mac.transmit()
+
     def _maybe_idle(self):
         if self.active:
             return
         now = self.sim.now
-        for mac in self.contenders:  # resume every frozen countdown
-            if mac.grant is None:
-                mac._arm_grant(now)
+        for mac, count in self.contenders.items():  # resume every frozen countdown
+            if count[2] is None:  # contend may have armed it inside resolve
+                self._arm(mac, count, now)
 
     # -- transmission -------------------------------------------------
 
@@ -170,15 +194,16 @@ class Medium:
         self.busy.mark(now, tx.end)
         if tx.mac is not None:
             tx.mac.own.mark(now, tx.end)
-        for other in self.contenders:  # freeze every pending countdown
+        for count in self.contenders.values():  # freeze every pending countdown
+            backoff, difs_end, grant = count
             # a grant armed for this instant (neither term changes while
             # it is pending) fires this same microsecond: let it collide
-            if other.grant is None or other.difs_end + other.backoff * SLOT_US <= now:
+            if grant is None or difs_end + backoff * SLOT_US <= now:
                 continue
-            self.sim.cancel(other.grant)
-            other.grant = None
-            if now > other.difs_end:  # a later grant leaves consumed < backoff
-                other.backoff -= (now - other.difs_end) // SLOT_US
+            self.sim.cancel(grant)
+            count[2] = None
+            if now > difs_end:  # a later grant leaves consumed < backoff
+                count[0] -= (now - difs_end) // SLOT_US
         self.sim.schedule(tx.end, self._tx_end, tx)
 
     def _tx_end(self, tx: Ampdu):
@@ -207,7 +232,7 @@ class Medium:
 
 
 class LinkMac:
-    """One device's contention state machine on one link."""
+    """One device's MAC on one link; the `Medium` holds its backoff countdown."""
 
     def __init__(self, sim, medium: Medium, device: int, owner,
                  fixed_mcs: int | None = None):
@@ -222,10 +247,7 @@ class LinkMac:
         self.backoff_rng = sim.stream(f"mac.backoff.dev{device}.link{self.link_index}")
         self.rate_rng = sim.stream(f"phy.rate.dev{device}.link{self.link_index}")
         self.peers: dict[int, phy.RateSelector] = {}  # by peer device id
-        self.cw = CW_MIN
-        self.backoff = 0
-        self.difs_end = 0
-        self.grant = None  # pending access event while the medium is idle
+        self.cw = CW_MIN  # the medium draws each backoff from [0, cw]
         self.in_flight: Ampdu | None = None  # set exactly while transmitting
         # airtime this device itself put on the link (data PPDUs + BlockAcks);
         # never overlapping, since an overlapped PPDU gets no BlockAck
@@ -243,34 +265,12 @@ class LinkMac:
         """Rate (Mb/s) of the MCS the next transmission to dest would use."""
         return self.peers[dest].decided_rate()
 
-    # -- contention ---------------------------------------------------
+    # -- exchange -----------------------------------------------------
 
-    def enter_contention(self):
-        """Draw a backoff and join the contenders, arming a grant if the
-        medium is idle.  Only while neither contending nor transmitting."""
-        self.backoff = self.backoff_rng.randint(0, self.cw)
-        self.medium.contenders[self] = None
-        if not self.medium.active:
-            self._arm_grant(self.sim.now)
-
-    def _arm_grant(self, idle_since: int):
-        self.difs_end = idle_since + DIFS_US
-        self.grant = self.sim.schedule(self.difs_end + self.backoff * SLOT_US, self._on_grant)
-
-    def _on_grant(self):
-        self.grant = None
-        del self.medium.contenders[self]
+    def transmit(self):
+        """On the medium's grant: send the A-MPDU the upper MAC builds."""
         self.in_flight = self.owner.build_ampdu(self)
         self.medium.begin_tx(self, self.in_flight)
-
-    def abort_contention(self):
-        """Leave contention, cancelling any pending grant.  Only while contending."""
-        if self.grant is not None:
-            self.sim.cancel(self.grant)
-            self.grant = None
-        del self.medium.contenders[self]
-
-    # -- outcome ------------------------------------------------------
 
     def decode_bitmap(self, ampdu: Ampdu) -> list:
         """Per-MPDU delivery flags at the receiver, noise errors only."""

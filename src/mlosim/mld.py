@@ -229,9 +229,9 @@ class MldDevice:
         for mac, queue in self.queues.items():
             if mac in mac.medium.contenders:
                 if not queue:
-                    mac.abort_contention()
+                    mac.medium.withdraw(mac)
             elif queue and mac.in_flight is None:
-                mac.enter_contention()
+                mac.medium.contend(mac)
 
     # -- transmission service (called by LinkMac) ---------------------------
 

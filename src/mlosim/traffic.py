@@ -105,7 +105,6 @@ class AppFrame:
     stream: StreamConfig
     station: int
     index: int
-    gen_time: int
     arrival_time: int
     size: int
     delay_us: int | None = UNSET
@@ -185,8 +184,8 @@ def fragment(frame: AppFrame) -> list[Mpdu]:
 
 def generate_frames(cfg: StreamConfig, station: int, size_rng, jitter_rng,
                     start_us: int, horizon_us: int) -> list[AppFrame]:
-    """All frames of one stream started at start_us: gen_time = start_us +
-    k * periodicity_us below horizon_us, arrivals jittered no earlier than start_us.
+    """All frames of one stream started at start_us: frame k is generated at
+    start_us + k * periodicity_us < horizon_us and arrives jittered, >= start_us.
 
     size_rng draws every frame's size, then jitter_rng every frame's
     jitter, each in frame order; the two share no state, so the sequence
@@ -197,5 +196,5 @@ def generate_frames(cfg: StreamConfig, station: int, size_rng, jitter_rng,
     jitter = cfg.jitter_model
     arrivals = gens if jitter is None else [
         max(gen + round(sample_trunc_gauss(jitter, jitter_rng)), start_us) for gen in gens]
-    return [AppFrame(cfg, station, k, gen, arrival, size)
-            for k, gen, arrival, size in zip(count(), gens, arrivals, sizes)]
+    return [AppFrame(cfg, station, k, arrival, size)
+            for k, arrival, size in zip(count(), arrivals, sizes)]

@@ -29,36 +29,13 @@ from mlosim.scenario import ScenarioConfig, run_one, run_seeds, streams_of
 from mlosim.stats import all_pass, evaluate
 from mlosim.traffic import (UNSET, AppFrame, default_stream_set, sample_frame_size,
                              sample_trunc_gauss)
+from test_mld import make_device, spy_transmissions
 
 DL, UL, POSE = default_stream_set()
 
 
 def report(n: int, label: str, detail: str = ""):
     print(f"criterion {n} ({label}): PASS {detail}".rstrip())
-
-
-# -- scripted-scenario plumbing ----------------------------------------------
-
-class FixedRng:
-    def __init__(self, values):
-        self.values = list(values)
-
-    def randint(self, a, b):
-        v = self.values.pop(0)
-        self.values.append(v)
-        return v
-
-
-def make_device(policy, n_links=2):
-    sim = Simulator(seed=3)
-    media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 80), j) for j in range(n_links)]
-    dev = MldDevice(sim, 0, policy)
-    for med in media:
-        mac = LinkMac(sim, med, 0, dev, fixed_mcs=11)
-        mac.add_peer(1, 100.0)  # the one station the scripted frames go to
-        mac.backoff_rng = FixedRng([0])
-        dev.add_mac(mac)
-    return sim, media, dev
 
 
 # -- criterion 1 ------------------------------------------------------------
@@ -126,23 +103,15 @@ def test_criterion_4_blocked_link_drain():
     def drain(policy):
         sim, media, dev = make_device(policy)
         media[1].inject_busy(10**9)  # link B held busy forever
-        sent = []
-        orig = dev.build_ampdu
-
-        def spy(mac):
-            ampdu = orig(mac)
-            sent.append((mac.link_index, len(ampdu.mpdus)))
-            return ampdu
-
-        dev.build_ampdu = spy
-        frame = AppFrame(stream=DL, station=1, index=0, gen_time=0,
+        sent = spy_transmissions(sim, dev)
+        frame = AppFrame(stream=DL, station=1, index=0,
                          arrival_time=0, size=96_000)  # 64 MPDUs
         dev.on_frame(frame)
         sim.run_until(1_000_000)
         assert frame.delay_us not in (LOST, UNSET)
         assert dev.mpdu_load == 0
-        assert all(link == 0 for link, _ in sent)
-        return [count for _, count in sent], dev.restart_count
+        assert all(link == 0 for _, link, _ in sent)
+        return [count for _, _, count in sent], dev.restart_count
 
     lo = math.ceil(math.log2(64))
     accesses, restarts = drain("uniform")

@@ -59,7 +59,8 @@ def check_invariants(exp: Experiment):
         idle = not medium.active
         for mac in medium.macs.values():
             contends = mac in medium.contenders
-            assert (mac.grant is not None) == (contends and idle), (now, mac.device)
+            pending = contends and medium.contenders[mac][2] is not None  # its grant
+            assert pending == (contends and idle), (now, mac.device)
     for frame in exp.frames:
         if frame.delay_us is not UNSET and frame.delay_us is not LOST:
             assert frame.delay_us > 0

@@ -27,7 +27,7 @@ UL, DL = default_stream_set()[1], default_stream_set()[0]
 
 def make_mpdus(size, station=1, stream=UL, index=0):
     frame = AppFrame(stream=stream, station=station, index=index,
-                     gen_time=0, arrival_time=0, size=size)
+                     arrival_time=0, size=size)
     return fragment(frame)
 
 
@@ -166,7 +166,7 @@ def test_zero_backoff_grants_after_difs():
     sim, medium, (mac,), (owner,) = setup_link()
     mac.backoff_rng = FixedRng([0])
     owner.queue = make_mpdus(7500)
-    mac.enter_contention()
+    medium.contend(mac)
     sim.run_until(1000)
     assert owner.grant_times == [DIFS_US]
 
@@ -175,7 +175,7 @@ def test_backoff_seven_idle_medium():
     sim, medium, (mac,), (owner,) = setup_link()
     mac.backoff_rng = FixedRng([7])
     owner.queue = make_mpdus(7500)
-    mac.enter_contention()
+    medium.contend(mac)
     sim.run_until(1000)
     assert owner.grant_times == [DIFS_US + 63]
 
@@ -184,7 +184,7 @@ def test_exchange_timeline_and_resolution():
     sim, medium, (mac,), (owner,) = setup_link()
     mac.backoff_rng = FixedRng([0])
     owner.queue = make_mpdus(7500)
-    mac.enter_contention()
+    medium.contend(mac)
     sim.run_until(10_000)
     t_res, ampdu, bitmap = owner.resolutions[0]
     assert ampdu.duration_us == DUR_5
@@ -198,7 +198,7 @@ def test_contender_arriving_on_busy_medium_waits_for_idle():
     mac.backoff_rng = FixedRng([1])
     owner.queue = make_mpdus(7500)
     medium.inject_busy(100)
-    sim.schedule(10, mac.enter_contention)
+    sim.schedule(10, medium.contend, mac)
     sim.run_until(10_000)
     assert owner.grant_times == [100 + DIFS_US + 9]
 
@@ -207,7 +207,7 @@ def test_freeze_consumes_whole_slots_only():
     sim, medium, (mac,), (owner,) = setup_link()
     mac.backoff_rng = FixedRng([5])
     owner.queue = make_mpdus(7500)
-    mac.enter_contention()  # difs_end 34, grant would be at 79
+    medium.contend(mac)  # difs_end 34, grant would be at 79
     sim.schedule(55, medium.inject_busy, 100)  # 21 us idle = 2 full slots
     sim.run_until(10_000)
     # 2 of 5 slots consumed; resume at 155: DIFS to 189 + 3 slots
@@ -220,7 +220,7 @@ def test_permanently_busy_medium_starves():
     mac.backoff_rng = FixedRng([0])
     owner.queue = make_mpdus(7500)
     medium.inject_busy(10_000_000)
-    sim.schedule(5, mac.enter_contention)
+    sim.schedule(5, medium.contend, mac)
     sim.run_until(1_000_000)
     assert owner.grant_times == []
     assert mac in medium.contenders
@@ -234,8 +234,8 @@ def test_second_contender_defers_through_blockack():
     b.backoff_rng = FixedRng([2])
     oa.queue = make_mpdus(7500)
     ob.queue = make_mpdus(7500, station=2)
-    a.enter_contention()
-    b.enter_contention()
+    medium.contend(a)
+    medium.contend(b)
     sim.run_until(10_000)
     assert oa.grant_times == [DIFS_US]
     # a holds the medium through data + SIFS + BA; b resumes after
@@ -253,9 +253,9 @@ def test_new_contender_during_sifs_gap_stays_frozen(after_tx_end):
     b.backoff_rng = FixedRng([0])
     oa.queue = make_mpdus(7500)
     ob.queue = make_mpdus(7500, station=2)
-    a.enter_contention()
+    medium.contend(a)
     tx_end = DIFS_US + DUR_5
-    sim.schedule(tx_end + after_tx_end, b.enter_contention)
+    sim.schedule(tx_end + after_tx_end, medium.contend, b)
     sim.run_until(10_000)
     ba_end = tx_end + SIFS_US + BLOCK_ACK_US
     assert ob.grant_times == [ba_end + DIFS_US]
@@ -269,8 +269,8 @@ def test_same_slot_grants_collide_and_double_cw():
     b.backoff_rng = FixedRng([3])
     oa.queue = make_mpdus(7500)
     ob.queue = make_mpdus(7500, station=2)
-    a.enter_contention()
-    b.enter_contention()
+    medium.contend(a)
+    medium.contend(b)
     sim.run_until(10_000)
     t_grant = DIFS_US + 27
     t_res = t_grant + DUR_5 + ACK_TIMEOUT_US
@@ -294,12 +294,36 @@ def test_beb_ladder_caps_at_cw_max():
 def test_abort_contention_cancels_pending_grant():
     sim, medium, (mac,), (owner,) = setup_link()
     mac.backoff_rng = FixedRng([4])
-    mac.enter_contention()
-    sim.schedule(40, mac.abort_contention)
+    medium.contend(mac)
+    sim.schedule(40, medium.withdraw, mac)
     sim.run_until(10_000)
     assert owner.grant_times == []
     assert medium.contenders == {}
 
+
+
+def test_withdrawn_contender_is_not_armed_when_medium_turns_idle():
+    sim, medium, (mac,), (owner,) = setup_link()
+    mac.backoff_rng = FixedRng([5])
+    owner.queue = make_mpdus(7500)
+    medium.contend(mac)  # grant would be at 79
+    sim.schedule(55, medium.inject_busy, 100)  # frozen with 3 slots left
+    sim.schedule(100, medium.withdraw, mac)  # while the medium is busy
+    sim.run_until(10_000)
+    assert owner.grant_times == []
+    assert medium.contenders == {}
+
+
+def test_reentry_after_withdraw_draws_a_fresh_backoff():
+    sim, medium, (mac,), (owner,) = setup_link()
+    mac.backoff_rng = FixedRng([5, 1])
+    owner.queue = make_mpdus(7500)
+    medium.contend(mac)
+    sim.schedule(55, medium.inject_busy, 100)  # frozen with 3 slots left
+    sim.schedule(100, medium.withdraw, mac)
+    sim.schedule(120, medium.contend, mac)  # draws 1; the 3 slots are gone
+    sim.run_until(10_000)
+    assert owner.grant_times == [155 + DIFS_US + 9]
 
 # -- error draw --------------------------------------------------------
 
@@ -370,7 +394,7 @@ def test_busy_total_counts_data_and_ba_not_gaps():
     sim, medium, (mac,), (owner,) = setup_link()
     mac.backoff_rng = FixedRng([0])
     owner.queue = make_mpdus(7500)
-    mac.enter_contention()
+    medium.contend(mac)
     sim.run_until(10_000)
     assert medium.busy_total(10_000) == DUR_5 + BLOCK_ACK_US
 
@@ -382,7 +406,7 @@ def test_own_tx_attribution_sender_and_ba_receiver():
     assert medium.macs[b.device] is b
     a.backoff_rng = FixedRng([0])
     oa.queue = make_mpdus(7500, station=b.device, stream=DL)  # addressed to b
-    a.enter_contention()
+    medium.contend(a)
     sim.run_until(10_000)
     assert a.own.total(10_000) == DUR_5
     assert b.own.total(10_000) == BLOCK_ACK_US
@@ -421,8 +445,8 @@ def test_collided_ppdus_count_once_in_busy_time():
     b.backoff_rng = FixedRng([0])
     owners[0].queue = make_mpdus(7500)
     owners[1].queue = make_mpdus(7500, station=2)
-    a.enter_contention()
-    b.enter_contention()
+    medium.contend(a)
+    medium.contend(b)
     sim.run_until(10_000)
     assert medium.busy_total(10_000) == DUR_5  # overlap coalesced, no BA
 
@@ -434,8 +458,8 @@ def test_collided_senders_own_only_their_ppdu():
     b.backoff_rng = FixedRng([0])
     owners[0].queue = make_mpdus(7500)
     owners[1].queue = make_mpdus(3000, station=2)
-    a.enter_contention()
-    b.enter_contention()
+    medium.contend(a)
+    medium.contend(b)
     sim.run_until(10_000)
     assert [o.resolutions[0][2] for o in owners] == [None, None]
     # each ledger holds its own PPDU's airtime, and no BlockAck was sent
@@ -447,7 +471,7 @@ def test_exchange_is_one_record_from_grant_to_resolution():
     sim, medium, (mac,), (owner,) = setup_link()
     mac.backoff_rng = FixedRng([0])
     owner.queue = make_mpdus(7500)
-    mac.enter_contention()
+    medium.contend(mac)
     sim.run_until(DIFS_US)
     ampdu = mac.in_flight
     assert medium.active == [ampdu]
@@ -507,7 +531,7 @@ class SaturatedOwner:
             self.collided += 1
         else:
             self.delivered_bits += 8 * sum(m.payload for m in ampdu.mpdus)
-        ampdu.mac.enter_contention()
+        ampdu.mac.medium.contend(ampdu.mac)
 
 
 @pytest.mark.parametrize("n", [2, 10, 30])
@@ -520,7 +544,7 @@ def test_saturated_dcf_matches_bianchi(n):
     for d, owner in enumerate(owners, 1):
         mac = LinkMac(sim, medium, d, owner, fixed_mcs=11)
         mac.add_peer(0, 100.0)  # no noise errors at MCS 11
-        mac.enter_contention()
+        medium.contend(mac)
     duration_us = 5_000_000
     sim.run_until(duration_us)
     p_sim = sum(o.collided for o in owners) / sum(o.ppdus for o in owners)

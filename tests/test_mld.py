@@ -34,7 +34,7 @@ class FixedRng:
 
 def dl_frame(size, station=1, index=0, t=0):
     return AppFrame(stream=DL, station=station, index=index,
-                    gen_time=t, arrival_time=t, size=size)
+                    arrival_time=t, size=size)
 
 
 def make_device(policy, n_links=2, link_mcs=None, backoffs=(0,), **kwargs):
@@ -452,7 +452,7 @@ def run_saturated_mlo(policy, n, duration_us=5_000_000):
     def top_up(dev):
         while dev.mpdu_load < SATURATED_MPDUS:
             dev.on_frame(AppFrame(stream=UL, station=dev.device, index=0,
-                                  gen_time=sim.now, arrival_time=sim.now, size=96_000))
+                                  arrival_time=sim.now, size=96_000))
 
     def saturated(dev):
         real_on_resolution = dev.on_resolution

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import pickle
 import statistics
@@ -7,6 +8,7 @@ import pytest
 
 from mlosim import scenario
 from mlosim.engine import Simulator
+from mlosim.mac import Medium
 from mlosim.scenario import (
     Deployment,
     Experiment,
@@ -192,33 +194,51 @@ def test_frames_phase_shifted_by_activation():
         act = exp.deployment.activation_us[sta - 1]
         mine = [f for f in exp.frames if f.station == sta]
         assert min(f.arrival_time for f in mine) >= act
-        pose_times = sorted(f.gen_time for f in mine if f.stream.kind == "pose")
+        # pose frames are not jittered: each arrives when it is generated
+        pose_times = sorted(f.arrival_time for f in mine if f.stream.kind == "pose")
         assert pose_times[0] == act
         assert pose_times[1] - pose_times[0] == 4000
-        assert all(f.gen_time < cfg.horizon_us for f in mine)
+        assert all(act + f.index * f.stream.periodicity_us < cfg.horizon_us for f in mine)
 
 
 # -- running -----------------------------------------------------------------------
 
-# Events of one 1 s seed at n=8 (seed 700, activation window 0.1 s):
-# dispatched (run_until's count), schedule and cancel calls from the
-# experiment's build on, and restart_count summed over devices.  A change
-# that adds or drops an event re-pins these on purpose.
+# Events of one 1 s seed (seed 700, activation window 0.1 s): dispatched
+# (run_until's count), schedule and cancel calls from the experiment's
+# build on, restart_count summed over devices, and the sha256 of every
+# Medium.begin_tx call, one "now,link index,sender device,MPDU count" line
+# per call.  The last pins the order of same-instant PPDU starts, which no
+# output digest sees.  A change that adds or drops an event or reorders a
+# PPDU start re-pins these on purpose.
 PINNED_EVENTS = [
-    ("sl", "80", 11650, 16851, 5200, 0),
-    ("greedy", "2x40", 11382, 14331, 2947, 0),
-    ("uniform", "4x20", 23504, 31493, 7988, 3751),
-    ("congestion", "2x40", 17377, 23228, 5850, 1773),
-    ("condition", "2x40", 16215, 20012, 3795, 1334),
+    ("sl", "80", 8, 11650, 16851, 5200, 0,
+     "672fa9eab7758274f04eb9a90877409caba6a1c0998435fdfe3fad1fc34dbd5b"),
+    ("greedy", "2x40", 8, 11382, 14331, 2947, 0,
+     "3dd1ba2d2fba5098d7f91c507095b708e9337bafb3ec3b9f77a91bcfe0d68bd1"),
+    ("uniform", "4x20", 8, 23504, 31493, 7988, 3751,
+     "4062ddcf8c7dca7f51c827e0b9af106caaffb5119759d77a78e11e11b3b7c577"),
+    ("congestion", "2x40", 8, 17377, 23228, 5850, 1773,
+     "994563fabe06bc69d0d2ca3820ec512a039a43784a66ba3b05d79f270854f951"),
+    ("condition", "2x40", 8, 16215, 20012, 3795, 1334,
+     "1ac20b17ca02b57cf59055a535aada3e256481ef5e33fb7c919f8a9a4af3df97"),
+    # overload: more cancels than dispatches
+    ("greedy", "2x40", 16, 18777, 52328, 33548, 0,
+     "e2367547929cd4525ef87f8daa1a15a42c560f7aa4733a8dd430ef3923c4bfad"),
+    ("congestion", "2x40", 16, 26371, 84521, 58134, 5694,
+     "7326974438de906a76415c04b9ef92751741b00c0985a24f91067e33dca962a8"),
 ]
 
 
-@pytest.mark.parametrize("policy,links,dispatched,scheduled,cancelled,restarts",
-                         PINNED_EVENTS, ids=[f"{p}-{l}" for p, l, *_ in PINNED_EVENTS])
-def test_event_counts_are_pinned(policy, links, dispatched, scheduled, cancelled,
-                                 restarts, monkeypatch):
+@pytest.mark.parametrize(
+    "policy,links,n,dispatched,scheduled,cancelled,restarts,starts_sha256",
+    PINNED_EVENTS,
+    ids=[f"{p}-{l}" + ("" if n == 8 else f"-n{n}") for p, l, n, *_ in PINNED_EVENTS])
+def test_event_counts_are_pinned(policy, links, n, dispatched, scheduled, cancelled,
+                                 restarts, starts_sha256, monkeypatch):
     calls = {"schedule": 0, "cancel": 0}
+    starts = []
     real_schedule, real_cancel = Simulator.schedule, Simulator.cancel
+    real_begin_tx = Medium.begin_tx
 
     def schedule(self, at, fn, *args):
         calls["schedule"] += 1
@@ -228,14 +248,20 @@ def test_event_counts_are_pinned(policy, links, dispatched, scheduled, cancelled
         calls["cancel"] += 1
         return real_cancel(self, handle)
 
+    def begin_tx(self, mac, ampdu):
+        starts.append(f"{self.sim.now},{self.index},{mac.device},{len(ampdu.mpdus)}\n")
+        return real_begin_tx(self, mac, ampdu)
+
     monkeypatch.setattr(Simulator, "schedule", schedule)
     monkeypatch.setattr(Simulator, "cancel", cancel)
-    cfg = cfg_with(policy=policy, links=links, n_sta=8, sim_duration_s=1.0,
+    monkeypatch.setattr(Medium, "begin_tx", begin_tx)
+    cfg = cfg_with(policy=policy, links=links, n_sta=n, sim_duration_s=1.0,
                    activation_window_s=0.1, seeds=(700,))
     exp = Experiment(cfg, 700)
     assert exp.sim.run_until(cfg.horizon_us) == dispatched
     assert (calls["schedule"], calls["cancel"]) == (scheduled, cancelled)
     assert sum(d.restart_count for d in exp.devices.values()) == restarts
+    assert hashlib.sha256("".join(starts).encode()).hexdigest() == starts_sha256
 
 
 def test_single_sta_underloaded_run_passes():

@@ -186,7 +186,7 @@ def test_ccdf_consistent_with_verdict_at_pdb():
 
 def frame(station, kind_index=0, index=0):
     return AppFrame(stream=default_stream_set()[kind_index], station=station,
-                    index=index, gen_time=0, arrival_time=0, size=1500)
+                    index=index, arrival_time=0, size=1500)
 
 
 def test_collector_guards_double_record():

@@ -23,7 +23,7 @@ JITTER = TruncGaussModel(mean=0, std=2000, min=-4000, max=4000)
 def _frame(size, stream=None, station=0, index=0, t=0):
     stream = stream or default_stream_set()[0]
     return AppFrame(stream=stream, station=station, index=index,
-                    gen_time=t, arrival_time=t, size=size)
+                    arrival_time=t, size=size)
 
 
 def test_dl_size_draws_in_bounds_with_table_mean():
@@ -160,9 +160,11 @@ def test_generated_frame_counts_per_stream():
 def test_gen_times_are_exact_multiples_only_arrivals_jittered():
     dl = default_stream_set()[0]
     frames = generate_frames(dl, 0, rng_stream(9, "s"), rng_stream(9, "j"), 0, 1_000_000)
+    # frame k is generated at k * 16667 us: one frame per multiple below 1 s
+    assert [f.index for f in frames] == list(range(60))
     for f in frames:
-        assert f.gen_time == f.index * 16667
-        assert abs(f.arrival_time - f.gen_time) <= 4000 or f.arrival_time == 0
+        gen_time = f.index * 16667
+        assert abs(f.arrival_time - gen_time) <= 4000 or f.arrival_time == 0
         assert f.arrival_time >= 0
         assert 10500 <= f.size <= 31500
 
@@ -170,7 +172,7 @@ def test_gen_times_are_exact_multiples_only_arrivals_jittered():
 def test_ul_streams_have_no_jitter_and_pose_fixed_size():
     ul, pose = default_stream_set()[1:]
     frames = generate_frames(ul, 2, rng_stream(0, "traffic.sta2.ul_video.size"), None, 0, 200_000)
-    assert all(f.arrival_time == f.gen_time for f in frames)
+    assert all(f.arrival_time == f.index * ul.periodicity_us for f in frames)
     pframes = generate_frames(pose, 2, None, None, 0, 200_000)
     assert all(f.size == 100 for f in pframes)
     assert [f.arrival_time for f in pframes] == [4000 * k for k in range(50)]
@@ -190,7 +192,7 @@ def reference_frames(cfg, station, size_rng, jitter_rng, start_us, horizon_us):
             arrival = max(gen + round(sample_trunc_gauss(cfg.jitter_model, jitter_rng)),
                           start_us)
         frames.append(AppFrame(stream=cfg, station=station, index=k,
-                               gen_time=gen, arrival_time=arrival, size=size))
+                               arrival_time=arrival, size=size))
         k += 1
     return frames
 
@@ -232,7 +234,7 @@ def test_generate_frames_matches_interleaved_reference(cfg, start, length, seed)
     ref_rngs = [rng_stream(seed, "s"), rng_stream(seed, "j")]
     frames = generate_frames(cfg, 3, *rngs, start, horizon)
     ref = reference_frames(cfg, 3, *ref_rngs, start, horizon)
-    fields = ("stream", "station", "index", "gen_time", "arrival_time", "size",
+    fields = ("stream", "station", "index", "arrival_time", "size",
               "delay_us", "mpdus_left")
     assert isinstance(frames, list)
     assert [[getattr(f, a) for a in fields] for f in frames] == \

@@ -177,23 +177,17 @@ class Medium:
     # -- transmission -------------------------------------------------
 
     def begin_tx(self, mac, ampdu: Ampdu):
-        ampdu.mac = mac
-        self._occupy(ampdu)
-
-    def inject_busy(self, duration_us: int):
-        """Foreign occupancy: freezes contenders and counts as busy time."""
-        self._occupy(Ampdu([], duration_us, None, None))
-
-    def _occupy(self, tx: Ampdu):
+        """Start a PPDU from mac, or foreign occupancy if mac is None."""
         now = self.sim.now
-        tx.end = now + tx.duration_us
+        ampdu.mac = mac
+        ampdu.end = now + ampdu.duration_us
         for other in self.active:  # any overlap corrupts both PPDUs
             other.collided = True
-            tx.collided = True
-        self.active.append(tx)
-        self.busy.mark(now, tx.end)
-        if tx.mac is not None:
-            tx.mac.own.mark(now, tx.end)
+            ampdu.collided = True
+        self.active.append(ampdu)
+        self.busy.mark(now, ampdu.end)
+        if mac is not None:
+            mac.own.mark(now, ampdu.end)
         for count in self.contenders.values():  # freeze every pending countdown
             backoff, difs_end, grant = count
             # a grant armed for this instant (neither term changes while
@@ -204,7 +198,11 @@ class Medium:
             count[2] = None
             if now > difs_end:  # a later grant leaves consumed < backoff
                 count[0] -= (now - difs_end) // SLOT_US
-        self.sim.schedule(tx.end, self._tx_end, tx)
+        self.sim.schedule(ampdu.end, self._tx_end, ampdu)
+
+    def inject_busy(self, duration_us: int):
+        """Foreign occupancy: freezes contenders and counts as busy time."""
+        self.begin_tx(None, Ampdu([], duration_us, None, None))
 
     def _tx_end(self, tx: Ampdu):
         if tx.mac is None or tx.collided:
@@ -241,11 +239,10 @@ class LinkMac:
         medium.macs[device] = self
         self.device = device
         self.owner = owner  # upper MAC: build_ampdu() / on_resolution()
-        self.link_index = medium.index
         self.bandwidth = medium.link.bandwidth_mhz
         self.fixed_mcs = fixed_mcs  # None: windowed selection per peer
-        self.backoff_rng = sim.stream(f"mac.backoff.dev{device}.link{self.link_index}")
-        self.rate_rng = sim.stream(f"phy.rate.dev{device}.link{self.link_index}")
+        self.backoff_rng = sim.stream(f"mac.backoff.dev{device}.link{medium.index}")
+        self.rate_rng = sim.stream(f"phy.rate.dev{device}.link{medium.index}")
         self.peers: dict[int, phy.RateSelector] = {}  # by peer device id
         self.cw = CW_MIN  # the medium draws each backoff from [0, cw]
         self.in_flight: Ampdu | None = None  # set exactly while transmitting
@@ -293,10 +290,3 @@ class LinkMac:
         self.peers[ampdu.dst].record(ampdu.mcs.index, delivered)
         self.in_flight = None
         self.owner.on_resolution(ampdu, bitmap)
-
-    def sensed_busy_total(self, t: int, count_own_tx: bool = True) -> int:
-        """Airtime this device has sensed on the link up to t."""
-        total = self.medium.busy_total(t)
-        if not count_own_tx:
-            total -= self.own.total(t)
-        return total

@@ -71,6 +71,7 @@ class CongestionEstimate:
                  window: int = DEFAULT_MA_WINDOW):
         self.update_period_us = update_period_us
         self.samples = deque(maxlen=window)
+        self.sensed_us = 0  # the sensed busy total at the last update
         self._free_us = max(update_period_us - self.busy_ma_us, 0.0)
 
     def update(self, period_busy_us: int):
@@ -162,7 +163,6 @@ class MldDevice:
         self.ma_window = ma_window
         self.macs: list[LinkMac] = []
         self.estimators: list[CongestionEstimate] = []
-        self._busy_snapshots: list[int] = []
         self.pool: list = []  # seq-ordered; only a staging list under a split
         self.queues: dict[LinkMac, list] = {}  # each link's queue, in mac order
         self.mpdu_load = 0
@@ -177,7 +177,6 @@ class MldDevice:
         self.macs.append(mac)
         self.queues[mac] = [] if self.shares else self.pool
         self.estimators.append(CongestionEstimate(self.update_period_us, self.ma_window))
-        self._busy_snapshots.append(0)
 
     # -- traffic entry ---------------------------------------------------
 
@@ -281,7 +280,9 @@ class MldDevice:
     def on_tick(self):
         """Per update period: push each link's fresh busy time into its MA."""
         now = self.sim.now
-        for j, mac in enumerate(self.macs):
-            total = mac.sensed_busy_total(now, self.count_own_tx)
-            self.estimators[j].update(total - self._busy_snapshots[j])
-            self._busy_snapshots[j] = total
+        for est, mac in zip(self.estimators, self.macs):
+            sensed = mac.medium.busy_total(now)
+            if not self.count_own_tx:
+                sensed -= mac.own.total(now)
+            est.update(sensed - est.sensed_us)
+            est.sensed_us = sensed

@@ -55,8 +55,7 @@ class StreamConfig:
     kind: str
     periodicity_us: int
     pdb_us: int
-    size_model: TruncGaussModel | int  # int means fixed bytes
-    data_rate_mbps: float
+    size_model: TruncGaussModel | int  # int means fixed bytes; mean * 8 / period is the rate
     jitter_model: TruncGaussModel | None = None  # in microseconds
 
     def __post_init__(self):
@@ -70,18 +69,9 @@ class StreamConfig:
             value = getattr(self, name)
             if type(value) is not int or value < 1:
                 raise ValueError(f"{name} must be a positive integer")
-        rate = self.data_rate_mbps
-        if type(rate) not in (int, float) or not 0 < rate < math.inf:
-            raise ValueError("data_rate_mbps must be a finite positive number")
-        mean = self.size_model
-        if isinstance(mean, TruncGaussModel):
-            mean = mean.mean
-        elif type(mean) is not int or mean < 1:
+        size = self.size_model
+        if not isinstance(size, TruncGaussModel) and (type(size) is not int or size < 1):
             raise ValueError("a fixed size_model must be a positive integer")
-        nominal = mean * 8 / self.periodicity_us  # Mb/s
-        if abs(nominal - rate) / rate > 0.02:
-            raise ValueError(f"size_model mean every periodicity_us offers {nominal:.3g} "
-                             f"Mb/s, inconsistent with data_rate_mbps")
         # arrivals are chained in frame order, so jitter must not reorder them
         jitter = self.jitter_model
         if jitter is not None and jitter.max - jitter.min >= self.periodicity_us:
@@ -132,7 +122,6 @@ def default_stream_set() -> list[StreamConfig]:
             periodicity_us=16667,
             pdb_us=10_000,
             size_model=TruncGaussModel(mean=21000, std=2205, min=10500, max=31500),
-            data_rate_mbps=10.0,
             jitter_model=TruncGaussModel(mean=0, std=2000, min=-4000, max=4000),
         ),
         StreamConfig(
@@ -140,14 +129,12 @@ def default_stream_set() -> list[StreamConfig]:
             periodicity_us=16667,
             pdb_us=30_000,
             size_model=TruncGaussModel(mean=7000, std=735, min=3500, max=10500),
-            data_rate_mbps=3.3,
         ),
         StreamConfig(
             kind=POSE,
             periodicity_us=4000,
             pdb_us=10_000,
             size_model=100,
-            data_rate_mbps=0.2,
         ),
     ]
 

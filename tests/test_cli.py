@@ -97,6 +97,14 @@ def test_rate_control_key_is_unknown(tmp_path, capsys):
     assert "unknown config key 'rate_control'" in capsys.readouterr().err
 
 
+def test_rate_key_is_unknown(tmp_path, capsys):
+    # size_model over periodicity_us alone sets a stream's rate
+    code, _ = run_cli(tmp_path, "run",
+                      {**TINY, "traffic": {"pose": {"data_rate_mbps": 0.2}}})
+    assert code == 1
+    assert "unknown traffic field 'data_rate_mbps' under 'pose'" in capsys.readouterr().err
+
+
 def test_run_names_unknown_traffic_field(tmp_path, capsys):
     # success_rate is not a stream field: stats.verdict holds the one 0.99
     # frame_rate is gone: periodicity_us alone sets a stream's rate
@@ -149,7 +157,7 @@ def test_resolve_config_rejects_out_of_range_knobs(key, value):
 @pytest.mark.parametrize("kind,field,value", [
     ("pose", "periodicity_us", 0),  # generate_frames would never end
     ("pose", "periodicity_us", -4000),
-    ("pose", "data_rate_mbps", 0),
+    ("pose", "data_rate_mbps", 0),  # the former rate field, unknown whatever its value
     ("dl_video", "data_rate_mbps", 0),
     ("pose", "periodicity_us", 4000.5),  # off the integer-microsecond clock
     ("pose", "pdb_us", 2.5),
@@ -160,10 +168,9 @@ def test_resolve_config_rejects_out_of_range_knobs(key, value):
     ("dl_video", None, None),  # field None: value is the whole override
     ("dl_video", None, "pdb_us"),  # was read as the fields 'p', 'd', 'b', ...
     ("ul_video", "data_rate_mbps", "x"),
-    ("ul_video", "data_rate_mbps", float("nan")),  # made the rate check vacuous
-    ("pose", "data_rate_mbps", True),  # a bool is no number
+    ("ul_video", "data_rate_mbps", float("nan")),
+    ("pose", "data_rate_mbps", True),
     ("ul_video", "jitter_model", 5),  # was an internal error in the run
-    ("pose", "periodicity_us", 1000),  # 100 B every 1 ms offers 0.8 Mb/s, not 0.2
 ])
 def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
     # resolution only: a run with such a stream would exhaust memory
@@ -183,9 +190,16 @@ def test_resolve_config_rejects_bad_traffic_keys(traffic, key):
         cli.resolve_config({**TINY, "traffic": traffic})
 
 
-def test_stream_period_enters_rate_check():
-    # 21000 B every 8 ms offers 21 Mb/s against the declared 10 Mb/s
-    with pytest.raises(cli.ConfigError, match="inconsistent with data_rate_mbps"):
+def test_stream_period_sets_the_rate():
+    # 7000 B every 8 ms offers 7.0 Mb/s; 100 B every 1 ms offers 0.8 Mb/s
+    for kind, period, rate in (("ul_video", 8000, 7.0), ("pose", 1000, 0.8)):
+        cfg = cli.resolve_config({**TINY, "traffic": {kind: {"periodicity_us": period}}})
+        stream, = [s for s in scenario.streams_of(cfg) if s.kind == kind]
+        size = stream.size_model
+        mean = size if isinstance(size, int) else size.mean
+        assert mean * 8 / stream.periodicity_us == pytest.approx(rate)
+    # the DL video jitter span (8000 us) must stay below the period
+    with pytest.raises(cli.ConfigError, match="jitter span"):
         cli.resolve_config({**TINY, "traffic": {"dl_video": {"periodicity_us": 8000}}})
 
 

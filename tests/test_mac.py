@@ -410,9 +410,10 @@ def test_own_tx_attribution_sender_and_ba_receiver():
     sim.run_until(10_000)
     assert a.own.total(10_000) == DUR_5
     assert b.own.total(10_000) == BLOCK_ACK_US
-    assert a.sensed_busy_total(10_000, count_own_tx=False) == BLOCK_ACK_US
-    assert b.sensed_busy_total(10_000, count_own_tx=False) == DUR_5
-    assert a.sensed_busy_total(10_000, count_own_tx=True) == DUR_5 + BLOCK_ACK_US
+    # what each device senses of the others' airtime
+    assert medium.busy_total(10_000) - a.own.total(10_000) == BLOCK_ACK_US
+    assert medium.busy_total(10_000) - b.own.total(10_000) == DUR_5
+    assert medium.busy_total(10_000) == DUR_5 + BLOCK_ACK_US
 
 
 def test_busy_interval_splits_across_query_points():

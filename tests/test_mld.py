@@ -56,7 +56,7 @@ def spy_transmissions(sim, dev):
 
     def wrapper(mac):
         ampdu = orig(mac)
-        sent.append((sim.now, mac.link_index, len(ampdu.mpdus)))
+        sent.append((sim.now, mac.medium.index, len(ampdu.mpdus)))
         return ampdu
 
     dev.build_ampdu = wrapper
@@ -435,6 +435,26 @@ def test_on_tick_feeds_estimators_from_medium():
     sim.run_until(600_000)
     assert dev.estimators[0].busy_ma_us == 200_000
     assert dev.estimators[1].busy_ma_us == 0
+
+
+@pytest.mark.parametrize("count_own_tx", [True, False])
+def test_on_tick_own_airtime_follows_count_own_tx(count_own_tx):
+    # the device's own PPDU on link 0 counts only with count_own_tx; the
+    # BlockAck comes from station 1, which has no MAC here, so it is foreign
+    sim, media, dev = make_device("congestion", n_links=2, count_own_tx=count_own_tx)
+    for t in range(0, 500_000, 100_000):
+        sim.schedule(t, media[0].inject_busy, 40_000)
+    sim.schedule(250_000, dev.on_frame, dl_frame(1000, t=250_000))
+    sim.schedule(500_000, dev.on_tick)
+    sim.schedule(1_000_000, dev.on_tick)  # a period with no airtime at all
+    sim.run_until(1_100_000)
+    own = phy.tx_duration(1000, MCS11_80, 80) if count_own_tx else 0
+    first = 200_000 + BLOCK_ACK_US + own
+    assert media[0].busy_total(500_000) == 200_000 + BLOCK_ACK_US + phy.tx_duration(
+        1000, MCS11_80, 80)
+    assert list(dev.estimators[0].samples) == [first, 0]
+    assert dev.estimators[0].sensed_us == first
+    assert list(dev.estimators[1].samples) == [0, 0]
 
 
 # -- saturated MLO against per-link Bianchi ----------------------------------

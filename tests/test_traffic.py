@@ -73,8 +73,7 @@ def test_dl_video_arrival_with_zero_jitter():
     # zero-jitter variant isolates the nominal instant
     no_jitter = TruncGaussModel(mean=0, std=0, min=0, max=0)
     cfg = StreamConfig(kind="dl_video", periodicity_us=16667, pdb_us=10_000,
-                       size_model=DL_SIZE, data_rate_mbps=10.0,
-                       jitter_model=no_jitter)
+                       size_model=DL_SIZE, jitter_model=no_jitter)
     frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 0, 100_003)
     assert frames[6].arrival_time == 100_002
     assert dl.periodicity_us == 16667
@@ -83,8 +82,7 @@ def test_dl_video_arrival_with_zero_jitter():
 def test_negative_jitter_at_k0_clamps_to_zero():
     always_neg = TruncGaussModel(mean=-4000, std=0, min=-4000, max=-4000)
     cfg = StreamConfig(kind="dl_video", periodicity_us=16667, pdb_us=10_000,
-                       size_model=DL_SIZE, data_rate_mbps=10.0,
-                       jitter_model=always_neg)
+                       size_model=DL_SIZE, jitter_model=always_neg)
     frames = generate_frames(cfg, 0, rng_stream(0, "s"), rng_stream(0, "j"), 0, 16_668)
     assert [f.arrival_time for f in frames] == [0, 16_667 - 4000]
 
@@ -126,10 +124,13 @@ def test_stream_set_composition():
 
 
 def test_offered_load_sums_to_13_5_mbps():
-    # 10 + 3.3 + 0.2; pose closed form 100 B / 4 ms = 0.2 Mb/s
+    # the profile's 10 + 3.3 + 0.2 Mb/s; a stream offers its mean size
+    # every period: 21000 B and 7000 B per 16.667 ms, 100 B per 4 ms
     streams = default_stream_set()
-    assert streams[2].size_model * 8 / streams[2].periodicity_us == pytest.approx(0.2)
-    assert sum(s.data_rate_mbps for s in streams) == pytest.approx(13.5)
+    offered = [(s.size_model if isinstance(s.size_model, int) else s.size_model.mean)
+               * 8 / s.periodicity_us for s in streams]
+    assert offered == pytest.approx([10.0, 3.3, 0.2], rel=0.02)
+    assert sum(offered) == pytest.approx(13.5, rel=0.02)
 
 
 def test_stream_overrides_replace_fields():
@@ -219,8 +220,7 @@ def streams(draw):
         jitter = (TruncGaussModel(mean=jmean, std=0, min=jmean, max=jmean) if jstd == 0
                   else TruncGaussModel(mean=jmean, std=jstd, min=lo, max=lo + span))
     return StreamConfig(kind=kind, periodicity_us=periodicity, pdb_us=10_000,
-                        size_model=size, data_rate_mbps=mean * 8 / periodicity,
-                        jitter_model=jitter)
+                        size_model=size, jitter_model=jitter)
 
 
 @given(streams(), st.integers(0, 200_000), st.integers(-20_000, 100_000), st.integers(0, 99))
@@ -249,14 +249,7 @@ def test_stream_config_rejects_jitter_on_ul():
     with pytest.raises(ValueError):
         StreamConfig(kind="ul_video", periodicity_us=16667, pdb_us=30_000,
                      size_model=TruncGaussModel(7000, 735, 3500, 10500),
-                     data_rate_mbps=3.3, jitter_model=JITTER)
-
-
-def test_stream_config_rejects_inconsistent_rate():
-    with pytest.raises(ValueError):
-        StreamConfig(kind="ul_video", periodicity_us=16667, pdb_us=30_000,
-                     size_model=TruncGaussModel(7000, 735, 3500, 10500),
-                     data_rate_mbps=5.0)
+                     jitter_model=JITTER)
 
 
 @pytest.mark.parametrize("periodicity_us,rejected", [(8000, True), (8001, False)])
@@ -264,7 +257,7 @@ def test_stream_config_jitter_span_below_periodicity(periodicity_us, rejected):
     # a span of a whole period or more lets frame k+1 arrive before frame k
     def build():
         return StreamConfig(kind="dl_video", periodicity_us=periodicity_us, pdb_us=10_000,
-                            size_model=DL_SIZE, data_rate_mbps=21.0, jitter_model=JITTER)
+                            size_model=DL_SIZE, jitter_model=JITTER)
     if rejected:
         with pytest.raises(ValueError, match="jitter span"):
             build()

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__, mld
 from .scenario import (LINK_SETS, ScenarioConfig, check_choice,
-                       equivalent_single_link, run_seeds, streams_of)
+                       equivalent_single_link, run_seeds, seed_pool, streams_of)
 from .stats import (CapacityResult, all_pass, evaluate, export_ccdf,
                     format_capacity, format_ccdf, format_delay, format_records,
                     format_summary)
@@ -184,19 +184,23 @@ def capacity_search(base_cfg: ScenarioConfig, max_n: int = MAX_STA,
                     workers: int = 1) -> CapacityResult:
     """Raise n_sta from 1 until a stream verdict fails; previous n is the
     capacity.  Stops early on the first failure (loads only grow with n).
+    One seed pool serves every probe, and each probe's seeds are queued
+    with the next probe's behind them, which a failure discards.
     """
     per_n = []
     max_sta = 0
-    for n in range(1, max_n + 1):
-        cfg = replace(base_cfg, n_sta=n)
-        verdicts = evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
-        ok = all_pass(verdicts)
-        per_n.append((n, verdicts))
-        log.info("capacity probe policy=%s n=%d -> %s", base_cfg.policy, n,
-                 "pass" if ok else "fail")
-        if not ok:
-            break
-        max_sta = n
+    probes = [replace(base_cfg, n_sta=n) for n in range(1, max_n + 1)]
+    with seed_pool(workers) as pool:
+        for n, cfg in enumerate(probes, 1):
+            pool.prefetch(*probes[n - 1:n + 1])
+            verdicts = evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
+            ok = all_pass(verdicts)
+            per_n.append((n, verdicts))
+            log.info("capacity probe policy=%s n=%d -> %s", base_cfg.policy, n,
+                     "pass" if ok else "fail")
+            if not ok:
+                break
+            max_sta = n
     return CapacityResult(base_cfg.policy, base_cfg.links, max_sta, per_n)
 
 
@@ -235,18 +239,22 @@ def cmd_sweep(args) -> int:
     header += [f"{k}_p99_us" for k in kinds] + ["overall"]
     lines = [",".join(header)]
     failures = 0
-    for (policy, links, n), cfg in cells.items():
-        try:
-            verdicts = evaluate(run_seeds(cfg, workers=args.workers), streams_of(cfg))
-            p99s = [format_delay(v.worst_p99_us) for v in verdicts]
-            overall = "PASS" if all_pass(verdicts) else "FAIL"
-        except Exception as e:
-            log.error("sweep cell (%s, %s, %d) failed: %s", policy, links, n, e)
-            p99s = ["ERROR"] * len(kinds)
-            overall = "ERROR"
-            failures += 1
-        lines.append(",".join([policy, links, str(n)] + p99s + [overall]))
-        log.info("sweep cell done: %s", lines[-1])
+    queue = list(cells.values())
+    with seed_pool(args.workers) as pool:
+        for i, ((policy, links, n), cfg) in enumerate(cells.items()):
+            try:
+                pool.prefetch(*queue[i:i + 2])  # this cell, and the next behind it
+                verdicts = evaluate(run_seeds(cfg, workers=args.workers), streams_of(cfg))
+                p99s = [format_delay(v.worst_p99_us) for v in verdicts]
+                overall = "PASS" if all_pass(verdicts) else "FAIL"
+            except Exception as e:
+                log.error("sweep cell (%s, %s, %d) failed: %s", policy, links, n, e)
+                p99s = ["ERROR"] * len(kinds)
+                overall = "ERROR"
+                failures += 1
+                pool.close()  # a dead worker breaks the pool: the next cell starts anew
+            lines.append(",".join([policy, links, str(n)] + p99s + [overall]))
+            log.info("sweep cell done: %s", lines[-1])
     write_atomic(out_dir / "sweep.csv", "\n".join(lines) + "\n")
     echo = config_to_dict(base_cfg, omit=SWEEP_SETS)
     echo.update({"policies": list(policies), "link_sets": list(link_sets),

@@ -55,7 +55,7 @@ class Simulator:
         self.seed = seed
         self.now = 0
         self._heap = []
-        self._seq = itertools.count()
+        self._next_seq = itertools.count().__next__
 
     def stream(self, label):
         """A fresh substream for (this simulation's seed, label)."""
@@ -68,7 +68,7 @@ class Simulator:
         """
         if at < self.now:
             raise SimulationError(f"schedule at t={at} before clock t={self.now}")
-        entry = [at, next(self._seq), fn, args]
+        entry = [at, self._next_seq(), fn, args]
         heapq.heappush(self._heap, entry)
         return entry
 

@@ -148,7 +148,7 @@ class Medium:
     def contend(self, mac):
         """Join the contenders with a backoff drawn from mac's CW, arming a
         grant if idle.  Only while mac neither contends nor transmits."""
-        count = self.contenders[mac] = [mac.backoff_rng.randint(0, mac.cw), 0, None]
+        count = self.contenders[mac] = [mac.backoff_rng.randrange(mac.cw + 1), 0, None]
         if not self.active:
             self._arm(mac, count, self.sim.now)
 

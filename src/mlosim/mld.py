@@ -238,8 +238,8 @@ class MldDevice:
         queue = self.queues[mac]
         ampdu = aggregate(queue, mac.pick_mcs(queue[0].dst), mac.bandwidth)
         del queue[:len(ampdu.mpdus)]
-        if not queue:  # a drained pool stands down the links sharing it
-            self._sync()
+        if not queue and queue is self.pool and len(self.macs) > 1:
+            self._sync()  # a drained pool stands down the other links sharing it
         return ampdu
 
     def on_resolution(self, ampdu: Ampdu, bitmap):

@@ -19,6 +19,8 @@ from __future__ import annotations
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass, fields, replace
 
 from . import mld, phy
@@ -274,12 +276,81 @@ def _seed_task(args):
     return run_one(cfg, seed)
 
 
+def _pooled(cfg: ScenarioConfig, workers: int) -> bool:
+    """Whether run_seeds runs cfg's seeds in a process pool."""
+    return workers > 1 and len(cfg.seeds) > 1
+
+
+class SeedPool:
+    """One process pool for every run_seeds call made while it is open
+    (see seed_pool).  prefetch queues a config's seeds behind those already
+    queued, so the workers start on them while earlier seeds finish; a
+    seed's result depends only on (config, seed), so a queued config gives
+    the same blocks as one run on demand."""
+
+    def __init__(self, workers: int):
+        self.workers = workers
+        self.executor = None  # started by the first pooled run
+        self.queued = []  # (config, its results iterator), in submission order
+
+    def prefetch(self, *cfgs):
+        """Queue each config run_seeds would pool, unless already queued."""
+        for cfg in cfgs:
+            if _pooled(cfg, self.workers) and all(c != cfg for c, _ in self.queued):
+                self.queued.append((cfg, self._map(cfg)))
+
+    def results(self, cfg) -> list:
+        """cfg's per-seed results in seed order: its queued run, or one now."""
+        for i, (queued_cfg, it) in enumerate(self.queued):
+            if queued_cfg == cfg:
+                del self.queued[i]
+                return list(it)
+        return list(self._map(cfg))
+
+    def _map(self, cfg):
+        if self.executor is None:  # it starts all its workers at once
+            self.executor = ProcessPoolExecutor(
+                max_workers=min(self.workers, len(cfg.seeds)))
+        return self.executor.map(_seed_task, [(cfg, s) for s in cfg.seeds])
+
+    def close(self):
+        """Discard every queued run and stop the workers once their running
+        seeds end; a later run starts new ones."""
+        self.queued.clear()
+        if self.executor is not None:
+            executor, self.executor = self.executor, None
+            executor.shutdown(cancel_futures=True)
+
+
+_open_pool: ContextVar[SeedPool | None] = ContextVar("open seed pool", default=None)
+
+
+@contextmanager
+def seed_pool(workers: int):
+    """Open a SeedPool that run_seeds uses until the block exits, or share
+    the one already open.  A block that leaves a run it queued unused
+    closes the pool, discarding every queued run (the next run starts new
+    workers); no worker outlives the outermost block."""
+    outer = _open_pool.get()
+    pool = outer or SeedPool(workers)
+    before = list(pool.queued)
+    token = _open_pool.set(pool)
+    try:
+        yield pool
+    finally:
+        _open_pool.reset(token)
+        if outer is None or any(entry not in before for entry in pool.queued):
+            pool.close()
+
+
 def run_seeds(cfg: ScenarioConfig, workers: int = 1) -> Outcomes:
     """One independent simulation per seed; blocks merged in seed order.
-    The pool starts all its workers at once, so it gets no more than seeds."""
-    if workers > 1 and len(cfg.seeds) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(cfg.seeds))) as pool:
-            results = list(pool.map(_seed_task, [(cfg, s) for s in cfg.seeds]))
+    With workers > 1 and more than one seed, the seeds run in the open
+    seed pool (taking cfg's queued run, if any) or, outside one, in a pool
+    of their own, never more workers than seeds; else in this process."""
+    if _pooled(cfg, workers):
+        with seed_pool(workers) as pool:
+            results = pool.results(cfg)
     else:
         results = [run_one(cfg, seed) for seed in cfg.seeds]
     merged = Outcomes()

@@ -153,17 +153,12 @@ def sample_trunc_gauss(model: TruncGaussModel, rng: random.Random) -> float:
             return x
 
 
-def sample_frame_size(cfg: StreamConfig, rng: random.Random | None) -> int:
-    if isinstance(cfg.size_model, int):
-        return cfg.size_model
-    return round(sample_trunc_gauss(cfg.size_model, rng))
-
-
 def fragment(frame: AppFrame) -> list[Mpdu]:
     """Split a frame into <=1500 B MPDUs; only the last may run short."""
     dst = frame.station if frame.stream.downlink else AP_ID
     full, rest = divmod(frame.size, MPDU_PAYLOAD)
-    mpdus = [Mpdu(frame, i, MPDU_PAYLOAD, dst) for i in range(full)]
+    # most frames (every pose update) fit one MPDU: no comprehension for them
+    mpdus = [Mpdu(frame, i, MPDU_PAYLOAD, dst) for i in range(full)] if full else []
     if rest:
         mpdus.append(Mpdu(frame, full, rest, dst))
     return mpdus
@@ -179,7 +174,9 @@ def generate_frames(cfg: StreamConfig, station: int, size_rng, jitter_rng,
     depends only on the stream's RNG labels, not on event interleaving.
     """
     gens = range(start_us, horizon_us, cfg.periodicity_us)
-    sizes = [sample_frame_size(cfg, size_rng) for _ in gens]
+    size = cfg.size_model
+    sizes = [size] * len(gens) if isinstance(size, int) else [
+        round(sample_trunc_gauss(size, size_rng)) for _ in gens]
     jitter = cfg.jitter_model
     arrivals = gens if jitter is None else [
         max(gen + round(sample_trunc_gauss(jitter, jitter_rng)), start_us) for gen in gens]

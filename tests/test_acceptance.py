@@ -25,11 +25,11 @@ from mlosim import cli, phy
 from mlosim.engine import Simulator, rng_stream
 from mlosim.mac import BLOCK_ACK_US, DIFS_US, SIFS_US, SLOT_US, LinkMac, Medium
 from mlosim.mld import LOST, MldDevice, split_uniform, split_weighted
-from mlosim.scenario import ScenarioConfig, run_one, run_seeds, streams_of
+from mlosim.scenario import ScenarioConfig, run_one, run_seeds, seed_pool, streams_of
 from mlosim.stats import all_pass, evaluate
-from mlosim.traffic import (UNSET, AppFrame, default_stream_set, sample_frame_size,
-                             sample_trunc_gauss)
+from mlosim.traffic import UNSET, AppFrame, default_stream_set, sample_trunc_gauss
 from test_mld import make_device, spy_transmissions
+from test_traffic import sample_frame_size
 
 DL, UL, POSE = default_stream_set()
 
@@ -139,30 +139,34 @@ def sweep():
         return ScenarioConfig(policy=policy, links=links,
                               n_sta=n, sim_duration_s=duration, seeds=seeds)
 
-    t0 = time.perf_counter()
-    searches = {}
-    for policy, links in (("uniform", "2x40"), ("congestion", "2x40"),
-                          ("condition", "2x40"), ("sl", "80"), ("sl", "160")):
-        searches[(policy, links)] = cli.capacity_search(
-            config(policy, links), max_n=30, workers=workers)
-
     def probe(policy, links, n):
         cfg = config(policy, links, n)
         return evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
 
-    # a policy passing at station count n has capacity >= n, so orderings
-    # against a searched capacity need one probe, not a second search
-    probes = {}
-    sap_cap = max(searches[(p, "2x40")].max_sta
-                  for p in ("uniform", "congestion", "condition"))
-    if sap_cap >= 1:
-        probes[("greedy", "2x40", sap_cap)] = probe("greedy", "2x40", sap_cap)
-    beat_sl80 = searches[("sl", "80")].max_sta + 1
-    probes[("greedy", "4x20", beat_sl80)] = probe("greedy", "4x20", beat_sl80)
-    sl160_cap = searches[("sl", "160")].max_sta
-    if sl160_cap >= 1:
-        for policy in MLO_POLICIES:
-            probes[(policy, "2x80", sl160_cap)] = probe(policy, "2x80", sl160_cap)
+    t0 = time.perf_counter()
+    # one seed pool serves every search and probe below
+    with seed_pool(workers) as pool:
+        searches = {}
+        for policy, links in (("uniform", "2x40"), ("congestion", "2x40"),
+                              ("condition", "2x40"), ("sl", "80"), ("sl", "160")):
+            searches[(policy, links)] = cli.capacity_search(
+                config(policy, links), max_n=30, workers=workers)
+
+        # a policy passing at station count n has capacity >= n, so orderings
+        # against a searched capacity need one probe, not a second search
+        probes = {}
+        sap_cap = max(searches[(p, "2x40")].max_sta
+                      for p in ("uniform", "congestion", "condition"))
+        if sap_cap >= 1:
+            probes[("greedy", "2x40", sap_cap)] = probe("greedy", "2x40", sap_cap)
+        beat_sl80 = searches[("sl", "80")].max_sta + 1
+        probes[("greedy", "4x20", beat_sl80)] = probe("greedy", "4x20", beat_sl80)
+        sl160_cap = searches[("sl", "160")].max_sta
+        if sl160_cap >= 1:
+            # independent probes: each one's seeds queue behind the last's
+            pool.prefetch(*(config(p, "2x80", sl160_cap) for p in MLO_POLICIES))
+            for policy in MLO_POLICIES:
+                probes[(policy, "2x80", sl160_cap)] = probe(policy, "2x80", sl160_cap)
     return SimpleNamespace(duration=duration, seeds=seeds, searches=searches,
                            probes=probes, sap_cap=sap_cap,
                            sl80_cap=searches[("sl", "80")].max_sta,

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 import subprocess
 import sys
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 from mlosim import cli, mld, scenario
-from mlosim.scenario import LINK_SETS
+from mlosim.scenario import LINK_SETS, ScenarioConfig
+from mlosim.stats import all_pass, format_capacity
 
 
 TINY = {"n_sta": 1, "sim_duration_s": 2.0, "activation_window_s": 0.1,
@@ -413,6 +415,73 @@ def test_capacity_zero_warns(tmp_path, capsys):
     assert "max_sta=0" in (out / "capacity.txt").read_text()
 
 
+# A search that passes n = 1, 2 and fails at n = 3, in about 0.2 s.
+STOPS = ScenarioConfig(policy="sl", links="80", fixed_mcs=1, sim_duration_s=1.0,
+                       activation_window_s=0.1, seeds=(1, 2, 3))
+
+
+def test_capacity_search_parallel_equals_serial():
+    # the search fails before max_n, so the probe queued behind the
+    # failing one is discarded; no worker may outlive the search
+    serial = cli.capacity_search(STOPS, max_n=6, workers=1)
+    parallel = cli.capacity_search(STOPS, max_n=6, workers=2)
+    assert [n for n, _ in serial.per_n] == [1, 2, 3]
+    assert not all_pass(serial.per_n[-1][1])
+    assert parallel.per_n == serial.per_n
+    assert format_capacity(parallel) == format_capacity(serial)
+    assert multiprocessing.active_children() == []
+
+
+def test_capacity_search_failing_seed_is_named_and_leaves_no_worker(monkeypatch):
+    # seed 3 of probe 2 raises while probe 3 is queued behind it
+    real_run = scenario.Experiment.run
+
+    def run(self):
+        if self.cfg.n_sta == 2 and self.seed == 3:
+            raise ZeroDivisionError("boom")
+        return real_run(self)
+
+    monkeypatch.setattr(scenario.Experiment, "run", run)
+    with pytest.raises(RuntimeError,
+                       match=r"^seed 3 failed \(policy=sl links=80 n_sta=2\): boom$"):
+        cli.capacity_search(STOPS, max_n=6, workers=2)
+    assert multiprocessing.active_children() == []
+
+
+def test_capacity_search_maps_each_probe_once_on_one_pool(monkeypatch):
+    # an in-process fake records each pool, each probe mapped and each shutdown
+    pools, mapped, shutdowns = [], [], []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def map(self, fn, items):
+            items = list(items)
+            mapped.append(items[0][0].n_sta)
+            return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            shutdowns.append(cancel_futures)
+
+    monkeypatch.setattr(scenario, "ProcessPoolExecutor", FakePool)
+    assert cli.capacity_search(STOPS, max_n=6, workers=1).max_sta == 2
+    assert pools == []  # one worker starts no pool
+    cli.capacity_search(STOPS, max_n=6, workers=2)
+    # probe 4 is queued behind the failing probe 3, then discarded
+    assert (pools, mapped, shutdowns) == ([2], [1, 2, 3, 4], [True])
+    # inside an open pool, a search that ends at the cap leaves nothing
+    # queued and keeps the pool; one that stops early closes it
+    for record in (pools, mapped, shutdowns):
+        record.clear()
+    with scenario.seed_pool(2):
+        cli.capacity_search(STOPS, max_n=2, workers=2)
+        assert (pools, mapped, shutdowns) == ([2], [1, 2], [])
+        cli.capacity_search(STOPS, max_n=6, workers=2)
+        assert (pools, mapped, shutdowns) == ([2], [1, 2, 1, 2, 3, 4], [True])
+    assert shutdowns == [True]
+
+
 # -- sweep command ---------------------------------------------------------------
 
 def test_sweep_cross_product(tmp_path, capsys):
@@ -485,6 +554,16 @@ def test_sweep_rerun_byte_identical(tmp_path):
     _, out_a = run_cli(tmp_path, "sweep", cfg, out="a")
     _, out_b = run_cli(tmp_path, "sweep", cfg, out="b")
     assert (out_a / "sweep.csv").read_bytes() == (out_b / "sweep.csv").read_bytes()
+
+
+def test_sweep_parallel_equals_serial(tmp_path):
+    # each cell's seeds are queued behind the previous cell's on one pool
+    cfg = {"policies": ["sl", "uniform"], "link_sets": ["2x40"], "sta_counts": [1, 2],
+           "sim_duration_s": 1.0, "activation_window_s": 0.1, "seeds": [1, 2]}
+    _, serial = run_cli(tmp_path, "sweep", cfg, out="a")
+    _, parallel = run_cli(tmp_path, "sweep", cfg, out="b", extra=("--workers", "2"))
+    assert (parallel / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 def test_sweep_reports_failed_cell_and_keeps_the_rest(tmp_path, monkeypatch, capsys):

@@ -37,7 +37,7 @@ class FixedRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def randint(self, a, b):
+    def randrange(self, n):
         return self.values.pop(0)
 
 

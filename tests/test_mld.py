@@ -26,7 +26,7 @@ class FixedRng:
     def __init__(self, values):
         self.values = list(values)
 
-    def randint(self, a, b):
+    def randrange(self, n):
         v = self.values.pop(0)
         self.values.append(v)  # cycle
         return v

@@ -322,14 +322,11 @@ def test_run_seeds_pool_capped_at_seed_count(monkeypatch):
         def __init__(self, max_workers):
             seen.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
         def map(self, fn, items):
             return map(fn, items)
+
+        def shutdown(self, cancel_futures=False):
+            pass
 
     monkeypatch.setattr(scenario, "ProcessPoolExecutor", FakePool)
     cfg = cfg_with(n_sta=1, sim_duration_s=1.0, activation_window_s=0.2,

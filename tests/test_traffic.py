@@ -12,7 +12,6 @@ from mlosim.traffic import (
     default_stream_set,
     fragment,
     generate_frames,
-    sample_frame_size,
     sample_trunc_gauss,
 )
 
@@ -177,6 +176,13 @@ def test_ul_streams_have_no_jitter_and_pose_fixed_size():
     pframes = generate_frames(pose, 2, None, None, 0, 200_000)
     assert all(f.size == 100 for f in pframes)
     assert [f.arrival_time for f in pframes] == [4000 * k for k in range(50)]
+
+
+def sample_frame_size(cfg, rng):
+    """One frame's size: the fixed size, or a rounded truncated-Gaussian draw."""
+    if isinstance(cfg.size_model, int):
+        return cfg.size_model
+    return round(sample_trunc_gauss(cfg.size_model, rng))
 
 
 def reference_frames(cfg, station, size_rng, jitter_rng, start_us, horizon_us):

@@ -27,19 +27,12 @@ PATH_LOSS_EXPONENT = 3.5
 SPEED_OF_LIGHT = 299_792_458.0
 
 CARRIERS_GHZ = (5.2, 5.5, 6.1, 6.5)
-BANDWIDTHS_MHZ = (20, 40, 80, 160)
 
 
 @dataclass(frozen=True)
 class LinkSpec:
     carrier_ghz: float
     bandwidth_mhz: int
-
-    def __post_init__(self):
-        if self.bandwidth_mhz not in BANDWIDTHS_MHZ:
-            raise ValueError(f"unsupported bandwidth {self.bandwidth_mhz} MHz")
-        if self.carrier_ghz <= 0:
-            raise ValueError("carrier must be positive")
 
 
 @dataclass(frozen=True)
@@ -72,8 +65,6 @@ MCS_TABLE = (
 
 def path_loss(distance_m: float, carrier_ghz: float) -> float:
     """Log-distance loss in dB: FSPL to 5 m, exponent 3.5 beyond."""
-    if distance_m <= 0:
-        raise ValueError("distance must be positive")
     d = min(distance_m, BREAKPOINT_M)
     fspl = 20 * math.log10(4 * math.pi * d * carrier_ghz * 1e9 / SPEED_OF_LIGHT)
     if distance_m <= BREAKPOINT_M:
@@ -148,18 +139,16 @@ class RateSelector:
         self._rates = [e.data_rate(bandwidth_mhz) for e in MCS_TABLE]
         self._sums = [0.0] * len(MCS_TABLE)  # running sum of each window
         self._best = self.initial_index
-        self._best_est = None  # estimate of _best; None until a feasible record
+        self._best_est = None  # estimate of _best; None until a record
 
     def record(self, index: int, delivered_fraction: float):
-        """Add one outcome.  Only index's estimate moves, so the best
-        changes to index or, if the best's own estimate fell, by a rescan."""
+        """Add one outcome of a feasible index.  Only its estimate moves, so
+        the best changes to index or, if the best's own estimate fell, by a rescan."""
         w = self.windows[index]
         if len(w) == w.maxlen:
             self._sums[index] -= w[0]
         w.append(delivered_fraction)
         self._sums[index] += delivered_fraction
-        if index not in self.feasible:
-            return
         est = self.estimate(index)
         best_est = self._best_est
         if index == self._best and best_est is not None and est < best_est:

@@ -60,7 +60,6 @@ def check_choice(key: str, value, choices) -> None:
 
 def expand_links(name: str) -> tuple[phy.LinkSpec, ...]:
     """The links of a named set, on carriers 5.2/5.5/6.1/6.5 GHz in order."""
-    check_choice("links", name, LINK_SETS)
     return tuple(phy.LinkSpec(phy.CARRIERS_GHZ[i], bw)
                  for i, bw in enumerate(LINK_SETS[name]))
 
@@ -147,7 +146,8 @@ def streams_of(cfg: ScenarioConfig) -> list[StreamConfig]:
         raise ValueError("config key 'traffic' must be an object")
     streams = {s.kind: s for s in default_stream_set()}
     enabled = TRAFFIC_KINDS
-    known = set(StreamConfig.__dataclass_fields__) - {"kind"}  # the key names it
+    # the key names the kind, and no JSON value makes a jitter_model
+    known = set(StreamConfig.__dataclass_fields__) - {"kind", "jitter_model"}
     for kind, repl in traffic.items():
         if kind == "enabled":
             if not isinstance(repl, list):
@@ -327,32 +327,29 @@ _open_pool: ContextVar[SeedPool | None] = ContextVar("open seed pool", default=N
 
 @contextmanager
 def seed_pool(workers: int):
-    """Open a SeedPool that run_seeds uses until the block exits, or share
-    the one already open.  A block that leaves a run it queued unused
-    closes the pool, discarding every queued run (the next run starts new
-    workers); no worker outlives the outermost block."""
-    outer = _open_pool.get()
-    pool = outer or SeedPool(workers)
-    before = list(pool.queued)
+    """Open a SeedPool that run_seeds uses until the block exits, then
+    close it: no worker outlives the block."""
+    pool = SeedPool(workers)
     token = _open_pool.set(pool)
     try:
         yield pool
     finally:
         _open_pool.reset(token)
-        if outer is None or any(entry not in before for entry in pool.queued):
-            pool.close()
+        pool.close()
 
 
 def run_seeds(cfg: ScenarioConfig, workers: int = 1) -> Outcomes:
     """One independent simulation per seed; blocks merged in seed order.
-    With workers > 1 and more than one seed, the seeds run in the open
-    seed pool (taking cfg's queued run, if any) or, outside one, in a pool
-    of their own, never more workers than seeds; else in this process."""
-    if _pooled(cfg, workers):
+    With workers > 1 and more than one seed, the seeds run in the innermost
+    open seed pool (taking cfg's queued run, if any) or, outside one, in a
+    pool of their own, never more workers than seeds; else in this process."""
+    if not _pooled(cfg, workers):
+        results = [run_one(cfg, seed) for seed in cfg.seeds]
+    elif (pool := _open_pool.get()) is not None:
+        results = pool.results(cfg)
+    else:
         with seed_pool(workers) as pool:
             results = pool.results(cfg)
-    else:
-        results = [run_one(cfg, seed) for seed in cfg.seeds]
     merged = Outcomes()
     for result in results:
         merged.extend(result)

@@ -106,7 +106,6 @@ class StreamVerdict:
     worst_p99_us: int | None
     pdb_us: int
     passed: bool
-    station_p99: dict
 
 
 def _station_columns(records: Outcomes, stream_kind: str) -> dict[int, array]:
@@ -121,11 +120,10 @@ def _station_columns(records: Outcomes, stream_kind: str) -> dict[int, array]:
 
 def verdict(records: Outcomes, stream_kind: str, pdb_us: int) -> StreamVerdict:
     """Worst per-station p99 for one stream, merged across seeds."""
-    by_station = _station_columns(records, stream_kind)
-    station_p99 = {sta: percentile(v, 0.99) for sta, v in sorted(by_station.items())}
-    worst = LOST if LOST in station_p99.values() else max(station_p99.values())
+    p99s = [percentile(v, 0.99) for v in _station_columns(records, stream_kind).values()]
+    worst = LOST if LOST in p99s else max(p99s)
     passed = worst is not LOST and worst <= pdb_us
-    return StreamVerdict(stream_kind, worst, pdb_us, passed, station_p99)
+    return StreamVerdict(stream_kind, worst, pdb_us, passed)
 
 
 def evaluate(records: Outcomes, streams: list[StreamConfig]) -> list[StreamVerdict]:

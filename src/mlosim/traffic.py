@@ -59,11 +59,6 @@ class StreamConfig:
     jitter_model: TruncGaussModel | None = None  # in microseconds
 
     def __post_init__(self):
-        if self.kind not in TRAFFIC_KINDS:
-            raise ValueError(f"unknown stream kind {self.kind!r}")
-        if not (isinstance(self.jitter_model, TruncGaussModel) if self.kind == DL_VIDEO
-                else self.jitter_model is None):
-            raise ValueError("jitter_model must be a TruncGaussModel on DL video, else None")
         # times live on the integer-microsecond clock, sizes in whole bytes
         for name in ("periodicity_us", "pdb_us"):
             value = getattr(self, name)
@@ -104,14 +99,13 @@ class AppFrame:
 @dataclass(eq=False, slots=True)
 class Mpdu:
     frame: AppFrame
-    index: int
     payload: int
     dst: int  # receiving device: the station for downlink, else the AP
     retries: int = 0
     seq: int = -1  # assigned on buffer admission, orders the shared pool
 
     def __repr__(self):
-        return f"Mpdu(sta={self.frame.station}, {self.frame.stream.kind}#{self.frame.index}.{self.index})"
+        return f"Mpdu(sta={self.frame.station}, {self.frame.stream.kind}#{self.frame.index}, seq={self.seq})"
 
 
 def default_stream_set() -> list[StreamConfig]:
@@ -158,9 +152,9 @@ def fragment(frame: AppFrame) -> list[Mpdu]:
     dst = frame.station if frame.stream.downlink else AP_ID
     full, rest = divmod(frame.size, MPDU_PAYLOAD)
     # most frames (every pose update) fit one MPDU: no comprehension for them
-    mpdus = [Mpdu(frame, i, MPDU_PAYLOAD, dst) for i in range(full)] if full else []
+    mpdus = [Mpdu(frame, MPDU_PAYLOAD, dst) for _ in range(full)] if full else []
     if rest:
-        mpdus.append(Mpdu(frame, full, rest, dst))
+        mpdus.append(Mpdu(frame, rest, dst))
     return mpdus
 
 

@@ -144,7 +144,8 @@ def sweep():
         return evaluate(run_seeds(cfg, workers=workers), streams_of(cfg))
 
     t0 = time.perf_counter()
-    # one seed pool serves every search and probe below
+    # each search opens and closes a seed pool of its own; this one serves
+    # the probes after them
     with seed_pool(workers) as pool:
         searches = {}
         for policy, links in (("uniform", "2x40"), ("congestion", "2x40"),

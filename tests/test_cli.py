@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import os
 import re
 import subprocess
 import sys
@@ -173,6 +174,7 @@ def test_resolve_config_rejects_out_of_range_knobs(key, value):
     ("ul_video", "data_rate_mbps", float("nan")),
     ("pose", "data_rate_mbps", True),
     ("ul_video", "jitter_model", 5),  # was an internal error in the run
+    ("ul_video", "jitter_model", None),  # no JSON value makes a jitter_model
 ])
 def test_resolve_config_rejects_bad_stream_knobs(kind, field, value):
     # resolution only: a run with such a stream would exhaust memory
@@ -470,16 +472,15 @@ def test_capacity_search_maps_each_probe_once_on_one_pool(monkeypatch):
     cli.capacity_search(STOPS, max_n=6, workers=2)
     # probe 4 is queued behind the failing probe 3, then discarded
     assert (pools, mapped, shutdowns) == ([2], [1, 2, 3, 4], [True])
-    # inside an open pool, a search that ends at the cap leaves nothing
-    # queued and keeps the pool; one that stops early closes it
+    # inside an open pool, each search still starts and shuts down its own
     for record in (pools, mapped, shutdowns):
         record.clear()
     with scenario.seed_pool(2):
         cli.capacity_search(STOPS, max_n=2, workers=2)
-        assert (pools, mapped, shutdowns) == ([2], [1, 2], [])
+        assert (pools, mapped, shutdowns) == ([2], [1, 2], [True])
         cli.capacity_search(STOPS, max_n=6, workers=2)
-        assert (pools, mapped, shutdowns) == ([2], [1, 2, 1, 2, 3, 4], [True])
-    assert shutdowns == [True]
+        assert (pools, mapped, shutdowns) == ([2, 2], [1, 2, 1, 2, 3, 4], [True, True])
+    assert shutdowns == [True, True]  # the outer block ran nothing, so started no pool
 
 
 # -- sweep command ---------------------------------------------------------------
@@ -583,6 +584,34 @@ def test_sweep_reports_failed_cell_and_keeps_the_rest(tmp_path, monkeypatch, cap
     assert rows[1] == "uniform,2x40,1,ERROR,ERROR,ERROR,ERROR"
     assert rows[0].startswith("greedy,2x40,1,") and rows[0].endswith(("PASS", "FAIL"))
     assert "warning: 1 sweep cell(s) failed" in capsys.readouterr().out
+
+
+def test_sweep_failing_cell_leaves_no_worker(tmp_path, monkeypatch):
+    # seed 2 of (uniform, 1) fails while the next cell is queued behind it:
+    # in this process it raises, in a pool worker it kills the worker, which
+    # breaks the pool.  The cell reads ERROR either way; the broken pool
+    # closes, discarding the queued cell, and the cells after it run on a
+    # new one
+    real_run = scenario.Experiment.run
+    parent = os.getpid()
+
+    def run(self):
+        if (self.cfg.policy, self.cfg.n_sta, self.seed) == ("uniform", 1, 2):
+            if os.getpid() != parent:
+                os._exit(1)
+            raise ZeroDivisionError("boom")
+        return real_run(self)
+
+    monkeypatch.setattr(scenario.Experiment, "run", run)
+    cfg = {"policies": ["sl", "uniform"], "link_sets": ["2x40"], "sta_counts": [1, 2],
+           "sim_duration_s": 1.0, "activation_window_s": 0.1, "seeds": [1, 2]}
+    _, serial = run_cli(tmp_path, "sweep", cfg, out="a")
+    _, parallel = run_cli(tmp_path, "sweep", cfg, out="b", extra=("--workers", "2"))
+    rows = (serial / "sweep.csv").read_text().splitlines()[1:]
+    assert [r for r in rows if "ERROR" in r] == ["uniform,2x40,1,ERROR,ERROR,ERROR,ERROR"]
+    assert len(rows) == 4
+    assert (parallel / "sweep.csv").read_bytes() == (serial / "sweep.csv").read_bytes()
+    assert multiprocessing.active_children() == []
 
 
 # -- flag handling ----------------------------------------------------------------

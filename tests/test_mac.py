@@ -141,9 +141,9 @@ def reference_prefix(queue, mcs, bandwidth_mhz):
                 min_size=1, max_size=90))
 def test_aggregate_matches_tx_duration_reference(items):
     frame = make_mpdus(100)[0].frame
-    queue = [Mpdu(frame, i, payload, dst) for i, (payload, dst) in enumerate(items)]
+    queue = [Mpdu(frame, payload, dst) for payload, dst in items]
     for mcs in phy.MCS_TABLE:
-        for bw in phy.BANDWIDTHS_MHZ:
+        for bw in (20, 40, 80, 160):
             ampdu = aggregate(queue, mcs, bw)
             assert ampdu.mpdus == reference_prefix(queue, mcs, bw)
             payload = sum(m.payload for m in ampdu.mpdus)
@@ -520,7 +520,7 @@ class SaturatedOwner:
 
     def __init__(self, station):
         frame = make_mpdus(1500, station=station)[0].frame
-        self.mpdus = [Mpdu(frame, i, 1500, 0) for i in range(8)]
+        self.mpdus = [Mpdu(frame, 1500, 0) for _ in range(8)]
         self.ppdus = self.collided = self.delivered_bits = 0
 
     def build_ampdu(self, mac):

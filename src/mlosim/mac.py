@@ -1,10 +1,9 @@
 """Per-link lower MAC and the shared medium it contends on.
 
 One `LinkMac` instance exists per device per radio link; all MACs on a
-link share one `Medium`, which finds a PPDU's receiver among them by
-device id.  Each MAC keeps one `phy.RateSelector` per peer (add_peer),
-holding the SNR towards it; under fixed-rate control its MCS set has one
-entry.  A MAC calls its upper MAC only through build_ampdu and
+link share one `Medium`.  Each MAC keeps one `phy.RateSelector` per peer
+(add_peer), holding the SNR towards it; under fixed-rate control its MCS
+set has one entry.  A MAC calls its upper MAC only through build_ampdu and
 on_resolution.  Contention is DCF-style CSMA/CA with a single access
 category (CWmin 15, CWmax 1023, AIFS = DIFS): DIFS sensing, slotted
 random backoff, binary exponential backoff on acknowledgment timeout.
@@ -26,10 +25,9 @@ A MAC contends exactly while it is in its medium's contender table, where
 its upper MAC keeps it while it has MPDUs for it, so every grant sends a
 PPDU; it transmits exactly while that PPDU is in flight.  Its `Ampdu` is
 the one record of the exchange, from the grant to the resolution.  Busy
-time (data plus BlockAck airtime, not interframe gaps) is a coalesced
-`BusyTime` that estimators read for any period in O(1): one per medium and
-one per MAC for the device's own airtime, which one estimator mode
-subtracts.  The medium writes every busy and every own interval.
+time (data plus BlockAck airtime, not interframe gaps) is one coalesced
+`BusyTime` per medium, which the medium writes and the link's congestion
+estimator reads for any period in O(1).
 """
 
 from __future__ import annotations
@@ -130,7 +128,6 @@ class Medium:
         self.link = link
         self.index = index
         self.err_rng = sim.stream(f"phy.err.link{index}")
-        self.macs: dict[int, LinkMac] = {}  # by device id
         # per contender [backoff slots left, DIFS end, pending grant], frozen
         # and resumed in entry order; neither step adds or removes one
         self.contenders: dict[LinkMac, list] = {}
@@ -186,8 +183,6 @@ class Medium:
             ampdu.collided = True
         self.active.append(ampdu)
         self.busy.mark(now, ampdu.end)
-        if mac is not None:
-            mac.own.mark(now, ampdu.end)
         for count in self.contenders.values():  # freeze every pending countdown
             backoff, difs_end, grant = count
             # a grant armed for this instant (neither term changes while
@@ -215,13 +210,9 @@ class Medium:
         # clean PPDU: receiver decodes each MPDU and answers with a
         # BlockAck one SIFS later; the exchange holds the medium until then
         now = self.sim.now
-        ba_start, ba_end = now + SIFS_US, now + SIFS_US + BLOCK_ACK_US
-        self.busy.mark(ba_start, ba_end)
-        bitmap = tx.mac.decode_bitmap(tx)
-        receiver = self.macs.get(tx.dst)
-        if receiver is not None:
-            receiver.own.mark(ba_start, ba_end)
-        self.sim.schedule(ba_end, self._ba_done, tx, bitmap)
+        ba_end = now + SIFS_US + BLOCK_ACK_US
+        self.busy.mark(now + SIFS_US, ba_end)
+        self.sim.schedule(ba_end, self._ba_done, tx, tx.mac.decode_bitmap(tx))
 
     def _ba_done(self, tx: Ampdu, bitmap: list):
         self.active.remove(tx)
@@ -236,7 +227,6 @@ class LinkMac:
                  fixed_mcs: int | None = None):
         self.sim = sim
         self.medium = medium
-        medium.macs[device] = self
         self.device = device
         self.owner = owner  # upper MAC: build_ampdu() / on_resolution()
         self.bandwidth = medium.link.bandwidth_mhz
@@ -246,9 +236,6 @@ class LinkMac:
         self.peers: dict[int, phy.RateSelector] = {}  # by peer device id
         self.cw = CW_MIN  # the medium draws each backoff from [0, cw]
         self.in_flight: Ampdu | None = None  # set exactly while transmitting
-        # airtime this device itself put on the link (data PPDUs + BlockAcks);
-        # never overlapping, since an overlapped PPDU gets no BlockAck
-        self.own = BusyTime()
 
     # -- rate selection -----------------------------------------------
 

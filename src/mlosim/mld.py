@@ -64,15 +64,22 @@ def check_link_count(policy: str, n_links: int):
 
 
 class CongestionEstimate:
-    """Moving average of per-period link busy time.  The free time moves
-    only when a sample enters, so update computes it for every split."""
+    """Moving average of per-period busy time on one link, which every
+    device on it shares.  The free time moves only when a sample enters,
+    so update computes it for every split."""
 
     def __init__(self, update_period_us: int = DEFAULT_UPDATE_PERIOD_US,
                  window: int = DEFAULT_MA_WINDOW):
         self.update_period_us = update_period_us
         self.samples = deque(maxlen=window)
-        self.sensed_us = 0  # the sensed busy total at the last update
+        self.sensed_us = 0  # the link's busy total at the last sample
         self._free_us = max(update_period_us - self.busy_ma_us, 0.0)
+
+    def sample(self, sensed_us: int):
+        """Push the busy time since the last sample, given the link's busy
+        total so far."""
+        self.update(sensed_us - self.sensed_us)
+        self.sensed_us = sensed_us
 
     def update(self, period_busy_us: int):
         if not 0 <= period_busy_us <= self.update_period_us:
@@ -150,19 +157,14 @@ class MldDevice:
     """One AP or STA: the shared buffer, its link MACs, and the policy."""
 
     def __init__(self, sim, device: int, policy: str,
-                 buffer_cap: int = DEFAULT_BUFFER_CAP,
-                 count_own_tx: bool = True,
-                 update_period_us: int = DEFAULT_UPDATE_PERIOD_US,
-                 ma_window: int = DEFAULT_MA_WINDOW):
+                 estimators: list[CongestionEstimate],
+                 buffer_cap: int = DEFAULT_BUFFER_CAP):
         self.sim = sim
         self.device = device
         self.shares = SHARE_RULES.get(policy)
         self.buffer_cap = buffer_cap
-        self.count_own_tx = count_own_tx
-        self.update_period_us = update_period_us
-        self.ma_window = ma_window
         self.macs: list[LinkMac] = []
-        self.estimators: list[CongestionEstimate] = []
+        self.estimators = estimators  # one per link, in mac order, shared
         self.pool: list = []  # seq-ordered; only a staging list under a split
         self.queues: dict[LinkMac, list] = {}  # each link's queue, in mac order
         self.mpdu_load = 0
@@ -176,7 +178,6 @@ class MldDevice:
     def add_mac(self, mac: LinkMac):
         self.macs.append(mac)
         self.queues[mac] = [] if self.shares else self.pool
-        self.estimators.append(CongestionEstimate(self.update_period_us, self.ma_window))
 
     # -- traffic entry ---------------------------------------------------
 
@@ -274,15 +275,3 @@ class MldDevice:
                 self.restart_count += 1
                 self._split()
         self._sync()
-
-    # -- congestion sampling ---------------------------------------------------
-
-    def on_tick(self):
-        """Per update period: push each link's fresh busy time into its MA."""
-        now = self.sim.now
-        for est, mac in zip(self.estimators, self.macs):
-            sensed = mac.medium.busy_total(now)
-            if not self.count_own_tx:
-                sensed -= mac.own.total(now)
-            est.update(sensed - est.sensed_us)
-            est.sensed_us = sensed

@@ -47,7 +47,6 @@ _ANNOTATION_TYPES = {
     "int": ((int,), "an integer"),
     "int | None": ((int, type(None)), "an integer or null"),
     "float": ((int, float), "a number"),
-    "bool": ((bool,), "true or false"),
     "str": ((str,), "a string"),
 }
 
@@ -80,7 +79,6 @@ class ScenarioConfig:
     seeds: tuple = tuple(range(10))
     traffic: dict | None = None
     buffer_cap: int = mld.DEFAULT_BUFFER_CAP
-    count_own_tx: bool = True
     update_period_s: float = mld.DEFAULT_UPDATE_PERIOD_US / US_PER_SEC
     ma_window: int = mld.DEFAULT_MA_WINDOW
     fixed_mcs: int | None = None  # None: Minstrel rate control
@@ -207,22 +205,24 @@ class Experiment:
 
         self.media = [Medium(self.sim, link, j)
                       for j, link in enumerate(expand_links(cfg.links))]
+        # all devices on a link sense its same busy time: they share one estimate
+        self.estimators = [mld.CongestionEstimate(cfg.update_period_us, cfg.ma_window)
+                           for _ in self.media]
         self.devices: dict[int, mld.MldDevice] = {}
         for dev_id in range(cfg.n_sta + 1):
-            device = mld.MldDevice(
-                self.sim, dev_id, cfg.policy,
-                buffer_cap=cfg.buffer_cap, count_own_tx=cfg.count_own_tx,
-                update_period_us=cfg.update_period_us, ma_window=cfg.ma_window)
+            device = mld.MldDevice(self.sim, dev_id, cfg.policy, self.estimators,
+                                   buffer_cap=cfg.buffer_cap)
             for medium in self.media:
                 device.add_mac(LinkMac(self.sim, medium, dev_id, device, cfg.fixed_mcs))
             self.devices[dev_id] = device
 
+        ap = self.devices[AP_ID]
         for sta in range(1, cfg.n_sta + 1):
             dist = self.deployment.distance(sta - 1)
-            for medium in self.media:
+            for medium, ap_mac, sta_mac in zip(self.media, ap.macs, self.devices[sta].macs):
                 s = phy.snr(medium.link, dist)
-                medium.macs[AP_ID].add_peer(sta, s)
-                medium.macs[sta].add_peer(AP_ID, s)
+                ap_mac.add_peer(sta, s)
+                sta_mac.add_peer(AP_ID, s)
 
         # arrivals are chained per stream (each event schedules its
         # successor) to keep the event heap shallow; each carries the
@@ -251,9 +251,10 @@ class Experiment:
         target.on_frame(chain[i])
 
     def _tick(self):
-        for device in self.devices.values():
-            device.on_tick()
-        nxt = self.sim.now + self.cfg.update_period_us
+        now = self.sim.now
+        for est, medium in zip(self.estimators, self.media):
+            est.sample(medium.busy_total(now))
+        nxt = now + self.cfg.update_period_us
         if nxt <= self.cfg.horizon_us:
             self.sim.schedule(nxt, self._tick)
 

@@ -24,7 +24,7 @@ import pytest
 from mlosim import cli, phy
 from mlosim.engine import Simulator, rng_stream
 from mlosim.mac import BLOCK_ACK_US, DIFS_US, SIFS_US, SLOT_US, LinkMac, Medium
-from mlosim.mld import LOST, MldDevice, split_uniform, split_weighted
+from mlosim.mld import LOST, CongestionEstimate, MldDevice, split_uniform, split_weighted
 from mlosim.scenario import ScenarioConfig, run_one, run_seeds, seed_pool, streams_of
 from mlosim.stats import all_pass, evaluate
 from mlosim.traffic import UNSET, AppFrame, default_stream_set, sample_trunc_gauss
@@ -85,11 +85,12 @@ def test_criterion_2_policy_arithmetic():
 def test_criterion_3_estimator_convergence():
     sim = Simulator(seed=2)
     medium = Medium(sim, phy.LinkSpec(5.2, 80), 0)
-    dev = MldDevice(sim, 0, "congestion")
+    est = CongestionEstimate()
+    dev = MldDevice(sim, 0, "congestion", [est])
     dev.add_mac(LinkMac(sim, medium, 0, dev, fixed_mcs=11))
     for k in range(10):  # one 200 ms foreign pulse per 500 ms period
         sim.schedule(k * 500_000, medium.inject_busy, 200_000)
-        sim.schedule((k + 1) * 500_000, dev.on_tick)
+        sim.schedule((k + 1) * 500_000, lambda: est.sample(medium.busy_total(sim.now)))
     sim.run_until(5_100_000)
     ma = dev.estimators[0].busy_ma_us
     assert abs(ma - 200_000) <= 20_000, f"busy MA {ma} us after 10 periods"

@@ -100,6 +100,13 @@ def test_rate_control_key_is_unknown(tmp_path, capsys):
     assert "unknown config key 'rate_control'" in capsys.readouterr().err
 
 
+def test_count_own_tx_key_is_unknown(tmp_path, capsys):
+    # every device on a link shares one estimate that counts all its airtime
+    code, _ = run_cli(tmp_path, "run", {**TINY, "count_own_tx": True})
+    assert code == 1
+    assert "unknown config key 'count_own_tx'" in capsys.readouterr().err
+
+
 def test_rate_key_is_unknown(tmp_path, capsys):
     # size_model over periodicity_us alone sets a stream's rate
     code, _ = run_cli(tmp_path, "run",
@@ -133,7 +140,7 @@ def test_run_names_unknown_traffic_field(tmp_path, capsys):
     ("seeds", [1.5]),
     ("update_period_s", 1e308),  # overflows integer microseconds
     ("sim_duration_s", 1e308),
-    ("count_own_tx", "no"),  # a truthy string would count own airtime
+    ("count_own_tx", "no"),  # the former sensing switch is an unknown key
     ("cell_radius_m", "x"),  # every field is checked against its annotation
     ("cell_radius_m", -5.0),
     ("cell_radius_m", 0),
@@ -275,6 +282,14 @@ def test_config_names_only_canonical_choices(tmp_path, capsys, command, key, val
     code, _ = run_cli(tmp_path, command, config)
     assert code == 1
     assert key in capsys.readouterr().err
+
+
+def test_readme_names_every_config_key():
+    # a key the README never names goes unnoticed, and unused
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    keys = ScenarioConfig.__dataclass_fields__
+    assert [k for k in keys if f"`{k}`" not in section] == []
 
 
 def test_readme_config_example_resolves():

@@ -67,15 +67,15 @@ CASES = {
         {**STRESS, "policy": "uniform", "links": "4x20", "buffer_cap": 64},
         "4056efac466a7c6142932e43c540bb78023be0e4f8fdb0cd6163e7319f321c5a",
         "809caed45cc41445a28228fdebdebf7eb9fadca92dfb684bf0df874e3dd39599"),
-    "stress-condition-2x40-rx-only": (
-        {**STRESS, "policy": "condition", "links": "2x40", "count_own_tx": False},
-        "4d2aae37fec5f9880c91c897ef8b8b7d1c897b13a6e3098779c658dd313e1da4",
-        "1eeb0c433b4a7afdedbf4f3a619f2a08b37234e031ccceee7514baf2ce5945b7"),
-    # own airtime subtracted on four links, where shares restart most
-    "stress-congestion-4x20-rx-only": (
-        {**STRESS, "policy": "congestion", "links": "4x20", "count_own_tx": False},
-        "ef2a130b69c3cb5cf06cce908c32db970ebbbad29433babb440845da540ee731",
-        "bb5ea5c0b153fb6a337fda65970dbfb9100b0e7370eb4811e0588886ce47d0e6"),
+    "stress-condition-2x40": (
+        {**STRESS, "policy": "condition", "links": "2x40"},
+        "109bbfc35c96baa974516bb695fdf224c9f664d0a5fbcd34bec7a44aa9ec5f84",
+        "9b9953145685ce24747f16d098fb492f9d0c4005ce3ad91c26462151e3b3e52d"),
+    # four links, where shares restart most
+    "stress-congestion-4x20": (
+        {**STRESS, "policy": "congestion", "links": "4x20"},
+        "2986eb8ee6f73df5b757a7b09838cb25ffd1b85d96df1a87170ed2f936733b2d",
+        "efb6291b58fd19c71c082b5d9d78f6bd8e94d58f09d1c44d721c300824027543"),
     "stress-greedy-2x40-cap64": (
         {**STRESS, "policy": "greedy", "links": "2x40", "buffer_cap": 64},
         "4858c80eb3e49a5ac1264229ec73e00b5af9f2867ded137f4b62dd378a3890a3",

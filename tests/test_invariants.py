@@ -41,7 +41,6 @@ def configs(draw):
         fixed_mcs=draw(st.sampled_from([None, 3, 11])),
         update_period_s=draw(st.floats(0.01, 0.5)),
         ma_window=draw(st.integers(1, 10)),
-        count_own_tx=draw(st.booleans()),
         seeds=(draw(st.integers(0, 10_000)),),
     )
 
@@ -57,7 +56,7 @@ def check_invariants(exp: Experiment):
         assert medium.busy_total(now) <= now
         assert medium.busy_total(horizon) <= horizon
         idle = not medium.active
-        for mac in medium.macs.values():
+        for mac in (dev.macs[medium.index] for dev in exp.devices.values()):
             contends = mac in medium.contenders
             pending = contends and medium.contenders[mac][2] is not None  # its grant
             assert pending == (contends and idle), (now, mac.device)

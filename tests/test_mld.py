@@ -37,11 +37,22 @@ def dl_frame(size, station=1, index=0, t=0):
                     arrival_time=t, size=size)
 
 
+def estimators_for(media, *args):
+    """One shared congestion estimate per medium, as Experiment builds them."""
+    return [CongestionEstimate(*args) for _ in media]
+
+
+def sample_all(sim, media, estimators):
+    """One estimator tick: each estimate samples its medium's busy total."""
+    for est, medium in zip(estimators, media):
+        est.sample(medium.busy_total(sim.now))
+
+
 def make_device(policy, n_links=2, link_mcs=None, backoffs=(0,), **kwargs):
     """link_mcs: the fixed MCS of each link, default 11 on every link."""
     sim = Simulator(seed=3)
     media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 80), j) for j in range(n_links)]
-    dev = MldDevice(sim, 0, policy, **kwargs)
+    dev = MldDevice(sim, 0, policy, estimators_for(media), **kwargs)
     for j, med in enumerate(media):
         mac = LinkMac(sim, med, 0, dev, fixed_mcs=link_mcs[j] if link_mcs else 11)
         mac.add_peer(1, 100.0)  # dl_frame's default station
@@ -292,8 +303,9 @@ def test_retry_exhaustion_records_lost():
     # two saturated devices on one medium with zero backoff collide forever
     sim = Simulator(seed=1)
     medium = Medium(sim, phy.LinkSpec(5.2, 80), 0)
-    dev_a = MldDevice(sim, 0, "sl")
-    dev_b = MldDevice(sim, 1, "sl")
+    estimators = estimators_for([medium])
+    dev_a = MldDevice(sim, 0, "sl", estimators)
+    dev_b = MldDevice(sim, 1, "sl", estimators)
     for dev in (dev_a, dev_b):
         mac = LinkMac(sim, medium, dev.device, dev, fixed_mcs=11)
         mac.backoff_rng = FixedRng([0])
@@ -384,7 +396,7 @@ def test_split_memo_applies_fresh_counts(policy, n_links, snr_db, ops):
     the current weight vector only, at most one per pool size."""
     sim = Simulator(seed=5)
     media = [Medium(sim, phy.LinkSpec(phy.CARRIERS_GHZ[j], 40), j) for j in range(n_links)]
-    dev = MldDevice(sim, 0, policy, buffer_cap=32, update_period_us=4_000, ma_window=3)
+    dev = MldDevice(sim, 0, policy, estimators_for(media, 4_000, 3), buffer_cap=32)
     for med in media:
         mac = LinkMac(sim, med, 0, dev)  # windowed rate selection
         for sta in (1, 2):
@@ -392,7 +404,7 @@ def test_split_memo_applies_fresh_counts(policy, n_links, snr_db, ops):
         dev.add_mac(mac)
 
     def tick():
-        dev.on_tick()
+        sample_all(sim, media, dev.estimators)
         sim.schedule(sim.now + 4_000, tick)
 
     sim.schedule(4_000, tick)
@@ -431,27 +443,25 @@ def test_on_tick_feeds_estimators_from_medium():
     sim, media, dev = make_device("congestion", n_links=2)
     for t in range(0, 500_000, 100_000):
         sim.schedule(t, media[0].inject_busy, 40_000)  # 40% duty on link 0
-    sim.schedule(500_000, dev.on_tick)
+    sim.schedule(500_000, sample_all, sim, media, dev.estimators)
     sim.run_until(600_000)
     assert dev.estimators[0].busy_ma_us == 200_000
     assert dev.estimators[1].busy_ma_us == 0
 
 
-@pytest.mark.parametrize("count_own_tx", [True, False])
-def test_on_tick_own_airtime_follows_count_own_tx(count_own_tx):
-    # the device's own PPDU on link 0 counts only with count_own_tx; the
-    # BlockAck comes from station 1, which has no MAC here, so it is foreign
-    sim, media, dev = make_device("congestion", n_links=2, count_own_tx=count_own_tx)
+def test_sample_counts_own_airtime():
+    # the link's sample holds the device's own PPDU on link 0 and the
+    # BlockAck answering it, next to the foreign occupancy
+    sim, media, dev = make_device("congestion", n_links=2)
     for t in range(0, 500_000, 100_000):
         sim.schedule(t, media[0].inject_busy, 40_000)
     sim.schedule(250_000, dev.on_frame, dl_frame(1000, t=250_000))
-    sim.schedule(500_000, dev.on_tick)
-    sim.schedule(1_000_000, dev.on_tick)  # a period with no airtime at all
+    sim.schedule(500_000, sample_all, sim, media, dev.estimators)
+    # a period with no airtime at all
+    sim.schedule(1_000_000, sample_all, sim, media, dev.estimators)
     sim.run_until(1_100_000)
-    own = phy.tx_duration(1000, MCS11_80, 80) if count_own_tx else 0
-    first = 200_000 + BLOCK_ACK_US + own
-    assert media[0].busy_total(500_000) == 200_000 + BLOCK_ACK_US + phy.tx_duration(
-        1000, MCS11_80, 80)
+    first = 200_000 + BLOCK_ACK_US + phy.tx_duration(1000, MCS11_80, 80)
+    assert media[0].busy_total(500_000) == first
     assert list(dev.estimators[0].samples) == [first, 0]
     assert dev.estimators[0].sensed_us == first
     assert list(dev.estimators[1].samples) == [0, 0]
@@ -486,8 +496,9 @@ def run_saturated_mlo(policy, n, duration_us=5_000_000):
         dev.on_resolution = on_resolution
         return dev
 
+    estimators = estimators_for(media)
     for d in range(1, n + 1):
-        dev = saturated(MldDevice(sim, d, policy, buffer_cap=10**6))
+        dev = saturated(MldDevice(sim, d, policy, estimators, buffer_cap=10**6))
         for med in media:
             mac = LinkMac(sim, med, d, dev, fixed_mcs=11)
             mac.add_peer(0, 100.0)  # no noise errors at MCS 11

@@ -5,6 +5,7 @@ import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mlosim import scenario
 from mlosim.engine import Simulator
@@ -175,11 +176,24 @@ def test_link_contends_exactly_while_its_queue_holds_mpdus(policy):
 def test_snr_symmetry_and_coverage():
     cfg = cfg_with(n_sta=3)
     exp = Experiment(cfg, seed=2)
-    for medium in exp.media:
-        ap = medium.macs[0]
+    for j in range(len(exp.media)):
+        ap = exp.devices[0].macs[j]
         for sta in (1, 2, 3):
-            assert ap.peers[sta].snr_db == medium.macs[sta].peers[0].snr_db
+            assert ap.peers[sta].snr_db == exp.devices[sta].macs[j].peers[0].snr_db
             assert ap.peers[sta].snr_db > 25  # in-cell stations decode high MCS
+
+
+@pytest.mark.parametrize("policy", POLICIES)
+def test_one_estimator_per_link_shared_by_every_device(policy):
+    links = "80" if policy == "sl" else "2x40"
+    cfg = cfg_with(policy=policy, links=links, n_sta=3, sim_duration_s=1.0,
+                   activation_window_s=0.1, update_period_s=0.1, ma_window=20)
+    exp = Experiment(cfg, seed=4)
+    assert len(exp.estimators) == len(exp.media)
+    assert all(dev.estimators is exp.estimators for dev in exp.devices.values())
+    exp.run()
+    ticks = cfg.horizon_us // cfg.update_period_us
+    assert all(len(est.samples) == ticks for est in exp.estimators)
 
 
 def test_frames_phase_shifted_by_activation():
@@ -348,3 +362,24 @@ def test_overload_marks_frames_lost():
     assert lost, "expected saturation losses"
     verdicts = evaluate(rows, streams_of(cfg))
     assert not all_pass(verdicts)
+
+
+
+@given(st.integers(1, 14), st.integers(0, 10_000), st.floats(1.0, 3.0))
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+def test_greedy_with_its_second_link_blocked_is_sl(n_sta, seed, duration_s):
+    """Greedy on 2x80 with link 1 held busy from the start runs sl on 80:
+    link 0 has the carrier and bandwidth of 80, link 1 never grants, its
+    MACs draw only from their own RNG labels, and greedy's link-0 queue is
+    the pool.  A greedy-only path touching link 0 breaks the equality."""
+    sl_cfg = cfg_with(policy="sl", links="80", n_sta=n_sta,
+                      sim_duration_s=duration_s, activation_window_s=0.1,
+                      seeds=(seed,))
+    greedy_cfg = replace(sl_cfg, policy="greedy", links="2x80")
+    sl, greedy = Experiment(sl_cfg, seed), Experiment(greedy_cfg, seed)
+    greedy.media[1].inject_busy(10**12)
+    assert "".join(format_records(greedy.run())) == "".join(format_records(sl.run()))
+    assert [d.restart_count for d in (*sl.devices.values(), *greedy.devices.values())] \
+        == [0] * (2 * n_sta + 2)
+    horizon = sl_cfg.horizon_us
+    assert greedy.media[0].busy_total(horizon) == sl.media[0].busy_total(horizon)
